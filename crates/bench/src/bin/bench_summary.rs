@@ -12,8 +12,8 @@
 //! PRs; the `serve` section is the unified view and the `net` section
 //! times the event-driven network core.
 //!
-//! Since PR 8 the `linear_forward` section also times the reassociated
-//! fast inference kernel (`fast_median_us`), and the `serve` section
+//! The `linear_forward` section times the workspace's one float kernel,
+//! which training and eval-mode forwards share, and the `serve` section
 //! carries a `scaleout` sweep: sharded software replay capacity by
 //! shard count and dispatch batch size. Since PR 9 the `serve` section
 //! adds a `telemetry` subsection: deterministic per-stage sim-time
@@ -57,7 +57,6 @@ use canids_dataflow::simulator::{AcceleratorSim, SimConfig};
 use canids_dataset::attacks::{AttackKind, AttackProfile, BurstSchedule};
 use canids_dataset::generator::{DatasetBuilder, TrafficConfig};
 use canids_qnn::mlp::{MlpConfig, QuantMlp};
-use canids_qnn::tensor::linear_forward_fast;
 use canids_qnn::tensor::{linear_forward, Matrix};
 use canids_soc::ecu::{EcuConfig, SchedPolicy};
 
@@ -112,13 +111,6 @@ fn main() {
     let mut sink = 0.0f32;
     let linear_us = median_us(400, || {
         let y = linear_forward(&x, &w, &b);
-        // lint:allow(float-reassociation): optimiser sink defeating dead-code elimination; never reported
-        sink += y.as_slice()[0];
-    });
-    // The reassociated inference kernel at the identical shape — the
-    // eval-path speedup the lint gate audits.
-    let fast_us = median_us(400, || {
-        let y = linear_forward_fast(&x, &w, &b);
         // lint:allow(float-reassociation): optimiser sink defeating dead-code elimination; never reported
         sink += y.as_slice()[0];
     });
@@ -602,7 +594,6 @@ fn main() {
     let _ = writeln!(json, "  \"pr\": {pr},");
     let _ = writeln!(json, "  \"linear_forward_64x75x64\": {{");
     let _ = writeln!(json, "    \"median_us\": {linear_us:.3},");
-    let _ = writeln!(json, "    \"fast_median_us\": {fast_us:.3},");
     let _ = writeln!(json, "    \"seed_baseline_us\": 120.0");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"accel_sim_sequential_fold\": {{");

@@ -85,10 +85,7 @@ pub use serve::{
     EcuBackend, FleetBackend, FleetTransport, Pacing, ReplayConfig, ServeBackend, ServeHarness,
     ServeReport, ServeScenario, ShardWorkers, SoftwareBackend, Verdict, VerdictSink,
 };
-pub use stream::{
-    LineRateScenario, MultiStreamVerdict, MultiStreamingEvaluator, StagedNanos, StreamVerdict,
-    StreamingEvaluator,
-};
+pub use stream::{LineRateScenario, StagedNanos, StreamVerdict, StreamingEvaluator};
 pub use telemetry::{
     MetricsRegistry, Probe, Span, Stage, StageStats, TelemetryConfig, TelemetryReport, WallClock,
 };
@@ -115,9 +112,7 @@ pub mod prelude {
         ServeBackend, ServeHarness, ServeReport, ServeScenario, ShardWorkers, SoftwareBackend,
         Verdict, VerdictSink,
     };
-    pub use crate::stream::{
-        LineRateScenario, MultiStreamingEvaluator, StreamVerdict, StreamingEvaluator,
-    };
+    pub use crate::stream::{LineRateScenario, StreamVerdict, StreamingEvaluator};
     pub use crate::telemetry::{
         MetricsRegistry, Probe, Span, Stage, TelemetryConfig, TelemetryReport, WallClock,
     };

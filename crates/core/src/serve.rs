@@ -49,6 +49,7 @@ use canids_dataset::record::LabeledFrame;
 use canids_dataset::stream::paced_records;
 use canids_qnn::export::IntegerMlp;
 use canids_qnn::metrics::ConfusionMatrix;
+use canids_qnn::QnnError;
 use canids_soc::ecu::{EcuConfig, EcuStream, IdsEcu, SchedPolicy, ServiceQueue};
 
 use crate::deploy::MultiIdsDeployment;
@@ -924,7 +925,24 @@ impl ServeBackend for SoftwareBackend {
         self.models.len()
     }
 
+    /// # Errors
+    ///
+    /// [`CoreError::Qnn`] with [`QnnError::DimensionMismatch`] when a
+    /// model's first-layer width differs from the 75-bit frame
+    /// encoder's dimension.
     fn open(&mut self, config: &ReplayConfig) -> Result<SoftwareSession, CoreError> {
+        let dim = IdBitsPayloadBits.dim();
+        for model in &self.models {
+            let actual = model.layer_dims().first().map_or(0, |&(input, _)| input);
+            if actual != dim {
+                return Err(QnnError::DimensionMismatch {
+                    context: "software backend model input vs frame encoder",
+                    expected: dim,
+                    actual,
+                }
+                .into());
+            }
+        }
         let depth = config.ecu.queue_depth.max(1);
         Ok(SoftwareSession {
             evals: self
@@ -937,6 +955,7 @@ impl ServeBackend for SoftwareBackend {
             batch: config.batch.max(1),
             window_ords: Vec::new(),
             window_recs: Vec::new(),
+            window_flags: Vec::new(),
             verdict_buf: Vec::new(),
             dropped: 0,
             serviced: 0,
@@ -967,12 +986,17 @@ pub struct SoftwareSession {
     evals: Vec<StreamingEvaluator>,
     active: Vec<bool>,
     queue: ServiceQueue,
-    /// Frames per batched inference dispatch (1 = frame-at-a-time).
+    /// Frames per batched inference dispatch; every admitted frame is
+    /// deferred into the window, so batch 1 is a window of one flushed
+    /// on arrival.
     batch: usize,
-    /// Ordinals/records of admitted frames awaiting a batched dispatch
-    /// (always empty when `batch == 1`).
+    /// Ordinals/records of admitted frames awaiting the window's
+    /// dispatch.
     window_ords: Vec<usize>,
     window_recs: Vec<LabeledFrame>,
+    /// Reusable per-dispatch `(fused flag, per-model flag mask)` buffer,
+    /// one entry per window frame.
+    window_flags: Vec<(bool, u64)>,
     /// Reusable per-dispatch verdict buffer.
     verdict_buf: Vec<StreamVerdict>,
     dropped: u64,
@@ -980,8 +1004,8 @@ pub struct SoftwareSession {
     busy_wall: Duration,
     pending: Vec<ShardVerdict>,
     topology: ServeTopology,
-    /// Telemetry probe; when attached, dispatches run the staged push
-    /// path so featurise/pack/infer get individual wall measurements.
+    /// Telemetry probe; when attached, each dispatch also times its
+    /// featurise/pack/infer stages and records them as spans.
     probe: Option<Probe>,
 }
 
@@ -1018,64 +1042,15 @@ impl ServeSession for SoftwareSession {
                 admitted: false,
             });
         }
-        if self.batch > 1 {
-            // Defer into the window; the whole window is classified in
-            // one measured dispatch when it fills (or at finish), with
-            // service starting at the flush-trigger arrival — the same
-            // deferred-verdict semantics as `SchedPolicy::DmaBatch`.
-            self.window_ords.push(ordinal);
-            self.window_recs.push(*rec);
-            if self.window_recs.len() >= self.batch {
-                self.flush_window(arrival);
-            }
-            return Ok(ShardPush {
-                delivered: arrival,
-                admitted: true,
-            });
+        // Defer into the window; the whole window is classified in one
+        // measured dispatch when it fills (or at finish), with service
+        // starting at the flush-trigger arrival — the same
+        // deferred-verdict semantics as `SchedPolicy::DmaBatch`.
+        self.window_ords.push(ordinal);
+        self.window_recs.push(*rec);
+        if self.window_recs.len() >= self.batch {
+            self.flush_window(arrival);
         }
-        // The software backend reports measured host latency by
-        // contract; `WallClock` is the workspace's one audited gate.
-        let t0 = WallClock::start();
-        let mut stages = StagedNanos::default();
-        let mut flagged = false;
-        let mut model_flags = 0u64;
-        for (k, (eval, _)) in self
-            .evals
-            .iter_mut()
-            .zip(&self.active)
-            .enumerate()
-            .filter(|&(_, (_, &a))| a)
-        {
-            let v = if self.probe.is_some() {
-                eval.push_staged(rec, &mut stages)
-            } else {
-                eval.push(rec)
-            };
-            if v.flagged {
-                flagged = true;
-                if k < 64 {
-                    model_flags |= 1 << k;
-                }
-            }
-        }
-        let wall = t0.elapsed();
-        self.busy_wall += wall;
-        // At least 1 ns of simulated service so completions advance.
-        let service = SimTime::from_nanos((wall.as_nanos() as u64).max(1));
-        let start = self.queue.start_time(arrival);
-        let completed_at = self.queue.serve(start, service);
-        if let Some(probe) = &self.probe {
-            stages.record_from(probe, 0, start);
-        }
-        self.serviced += 1;
-        self.pending.push(ShardVerdict {
-            shard: 0,
-            ordinal,
-            completed_at,
-            flagged,
-            model_flags,
-            active_mask: canids_soc::ecu::active_mask_of(&self.active),
-        });
         Ok(ShardPush {
             delivered: arrival,
             admitted: true,
@@ -1134,11 +1109,13 @@ impl SoftwareSession {
         if n == 0 {
             return;
         }
-        let mut flags = vec![(false, 0u64); n];
+        self.window_flags.clear();
+        self.window_flags.resize(n, (false, 0));
         // The software backend reports measured host latency by
         // contract; `WallClock` is the workspace's one audited gate.
         let t0 = WallClock::start();
         let mut stages = StagedNanos::default();
+        let profiled = self.probe.is_some();
         for (k, (eval, _)) in self
             .evals
             .iter_mut()
@@ -1147,12 +1124,12 @@ impl SoftwareSession {
             .filter(|&(_, (_, &a))| a)
         {
             self.verdict_buf.clear();
-            if self.probe.is_some() {
-                eval.push_batch_staged(&self.window_recs, &mut self.verdict_buf, &mut stages);
-            } else {
-                eval.push_batch(&self.window_recs, &mut self.verdict_buf);
-            }
-            for (slot, v) in flags.iter_mut().zip(&self.verdict_buf) {
+            eval.push_batch(
+                &self.window_recs,
+                &mut self.verdict_buf,
+                profiled.then_some(&mut stages),
+            );
+            for (slot, v) in self.window_flags.iter_mut().zip(&self.verdict_buf) {
                 if v.flagged {
                     slot.0 = true;
                     if k < 64 {
@@ -1171,7 +1148,8 @@ impl SoftwareSession {
         let per = SimTime::from_nanos(((wall.as_nanos() as u64) / n as u64).max(1));
         let active_mask = canids_soc::ecu::active_mask_of(&self.active);
         self.window_recs.clear();
-        for (ordinal, (flagged, model_flags)) in self.window_ords.drain(..).zip(flags) {
+        for (ordinal, &(flagged, model_flags)) in self.window_ords.drain(..).zip(&self.window_flags)
+        {
             let start = self.queue.start_time(ready);
             let completed_at = self.queue.serve(start, per);
             self.serviced += 1;
@@ -3139,6 +3117,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn software_backend_rejects_a_model_the_encoder_cannot_feed() {
+        // An 8-input model paired with the 75-bit frame encoder is a
+        // wiring error, reported as a typed error when the session opens
+        // instead of a panic inside inference.
+        let narrow = QuantMlp::new(MlpConfig {
+            input_dim: 8,
+            hidden: vec![6],
+            ..MlpConfig::default()
+        })
+        .unwrap()
+        .export()
+        .unwrap();
+        let capture = quick_capture(false, 12);
+        let err = ServeHarness::new(SoftwareBackend::new(vec![untrained_model(1), narrow]))
+            .replay(&capture, &ReplayConfig::default())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Qnn(QnnError::DimensionMismatch {
+                    expected: 75,
+                    actual: 8,
+                    ..
+                })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

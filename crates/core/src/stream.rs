@@ -8,9 +8,12 @@
 //! * [`StreamingEvaluator`] — incremental featurisation + per-frame
 //!   integer MLP inference + online [`ConfusionMatrix`] accounting, with
 //!   all per-frame buffers reused (no per-frame feature allocation).
-//!   Streaming and batch evaluation produce *identical* predictions and
-//!   confusion matrices on the same capture — the equivalence tests pin
-//!   this.
+//!   [`StreamingEvaluator::push`] and the windowed
+//!   [`StreamingEvaluator::push_batch`] share one classify body; the
+//!   batch form optionally times the featurise/pack/infer stages into a
+//!   [`StagedNanos`]. Streaming and batch evaluation produce *identical*
+//!   predictions and confusion matrices on the same capture — the
+//!   equivalence tests pin this.
 //! * [`LineRateScenario`] — canned wire-pacing scenarios (classic
 //!   1 Mb/s, FD-class) that map onto the unified serving harness
 //!   ([`crate::serve::ServeHarness`] with
@@ -31,10 +34,10 @@ use crate::serve::ReplayConfig;
 use crate::telemetry::{Probe, Stage, WallClock};
 
 /// Accumulated wall-clock nanoseconds per hot-path stage, filled by
-/// [`StreamingEvaluator::push_staged`] — the profiled variant of the
-/// fused featurise→pack→infer dispatch. A serving session accumulates
-/// one of these per dispatch and lays the stages out as consecutive
-/// telemetry spans from the service start.
+/// [`StreamingEvaluator::push_batch`] when it is handed one — the
+/// profiled form of the fused featurise→pack→infer dispatch. A serving
+/// session accumulates one of these per dispatch and lays the stages
+/// out as consecutive telemetry spans from the service start.
 ///
 /// ```
 /// let mut stages = canids_core::stream::StagedNanos::default();
@@ -148,20 +151,7 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     /// [`IntegerMlp::infer_bits`] exactly, so streaming and batch
     /// predictions are identical.
     pub fn push(&mut self, rec: &LabeledFrame) -> StreamVerdict {
-        self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
-            *x = (f.round().max(0.0) as u32).min(self.model.input_levels);
-        }
-        let class = self.model.infer_class(&self.xbuf, &mut self.scratch);
-        let flagged = class != 0;
-        let truth_attack = rec.label.is_attack();
-        self.cm.record(flagged, truth_attack);
-        self.frames += 1;
-        StreamVerdict {
-            class,
-            flagged,
-            truth_attack,
-        }
+        self.classify(rec, None)
     }
 
     /// Classifies a window of records in one call, appending one verdict
@@ -170,34 +160,41 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     /// overhead, branch warm-up) amortises across the window instead of
     /// repeating per frame. Identical predictions and accounting to
     /// calling [`push`](Self::push) per record.
-    pub fn push_batch(&mut self, recs: &[LabeledFrame], out: &mut Vec<StreamVerdict>) {
+    ///
+    /// With `stages`, each of the three fused stages (featurise,
+    /// quantise/pack, infer) is timed through the audited [`WallClock`]
+    /// shim and its nanoseconds for the whole window accumulate there;
+    /// with `None` no clock is read.
+    pub fn push_batch(
+        &mut self,
+        recs: &[LabeledFrame],
+        out: &mut Vec<StreamVerdict>,
+        mut stages: Option<&mut StagedNanos>,
+    ) {
         out.reserve(recs.len());
         for rec in recs {
-            out.push(self.push(rec));
+            out.push(self.classify(rec, stages.as_deref_mut()));
         }
     }
 
-    /// [`push`](Self::push) with per-stage wall profiling: identical
-    /// classification and accounting, but each of the three fused
-    /// stages (featurise, quantise/pack, infer) is bracketed by the
-    /// audited [`WallClock`] shim and its nanoseconds accumulate into
-    /// `stages`. Only the telemetry-instrumented serving path calls
-    /// this; the unprofiled [`push`](Self::push) stays measurement-free.
-    pub fn push_staged(&mut self, rec: &LabeledFrame, stages: &mut StagedNanos) -> StreamVerdict {
-        let t0 = WallClock::start();
+    /// The one classify body behind [`push`](Self::push) and
+    /// [`push_batch`](Self::push_batch).
+    fn classify(&mut self, rec: &LabeledFrame, stages: Option<&mut StagedNanos>) -> StreamVerdict {
+        let t0 = stages.is_some().then(WallClock::start);
+        let lap = || t0.as_ref().map_or(0, |t| t.elapsed_nanos());
         self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        stages.featurise += t0.elapsed_nanos();
-
-        let t1 = WallClock::start();
+        let featurised = lap();
         for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
             *x = (f.round().max(0.0) as u32).min(self.model.input_levels);
         }
-        stages.pack += t1.elapsed_nanos();
-
-        let t2 = WallClock::start();
+        let packed = lap();
         let class = self.model.infer_class(&self.xbuf, &mut self.scratch);
-        stages.infer += t2.elapsed_nanos();
-
+        if let Some(stages) = stages {
+            let inferred = lap();
+            stages.featurise += featurised;
+            stages.pack += packed.saturating_sub(featurised);
+            stages.infer += inferred.saturating_sub(packed);
+        }
         let flagged = class != 0;
         let truth_attack = rec.label.is_attack();
         self.cm.record(flagged, truth_attack);
@@ -206,21 +203,6 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
             class,
             flagged,
             truth_attack,
-        }
-    }
-
-    /// [`push_batch`](Self::push_batch) with per-stage wall profiling
-    /// (see [`push_staged`](Self::push_staged)); stage nanoseconds for
-    /// the whole window accumulate into `stages`.
-    pub fn push_batch_staged(
-        &mut self,
-        recs: &[LabeledFrame],
-        out: &mut Vec<StreamVerdict>,
-        stages: &mut StagedNanos,
-    ) {
-        out.reserve(recs.len());
-        for rec in recs {
-            out.push(self.push_staged(rec, stages));
         }
     }
 
@@ -242,127 +224,6 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     /// Resets the online accounting, keeping the model.
     pub fn reset(&mut self) {
         self.cm = ConfusionMatrix::new();
-        self.frames = 0;
-    }
-}
-
-/// One verdict of an N-detector evaluator: per-model classes plus the
-/// fused (any-model) flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiStreamVerdict {
-    /// Predicted class per model, in model order (0 = normal).
-    pub classes: Vec<usize>,
-    /// `true` when any model classified the frame as an attack.
-    pub flagged: bool,
-    /// Ground truth of the pushed record.
-    pub truth_attack: bool,
-}
-
-/// Frame-at-a-time evaluator over **N** integer models with **one shared
-/// feature-extraction pass**: each pushed record is encoded and
-/// quantised once, and every model consumes the same buffer — the
-/// software mirror of the ECU's shared feature packing (N detectors, one
-/// featurisation per window instead of N redundant ones).
-///
-/// Per-model predictions and confusion matrices are *identical* to N
-/// independent [`StreamingEvaluator`]s over the same capture; the unit
-/// tests pin this.
-#[derive(Debug, Clone)]
-pub struct MultiStreamingEvaluator<E: FrameEncoder = IdBitsPayloadBits> {
-    models: Vec<IntegerMlp>,
-    encoder: E,
-    fbuf: Vec<f32>,
-    xbuf: Vec<u32>,
-    scratch: IntScratch,
-    cms: Vec<ConfusionMatrix>,
-    fused_cm: ConfusionMatrix,
-    frames: u64,
-}
-
-impl MultiStreamingEvaluator<IdBitsPayloadBits> {
-    /// An N-model evaluator using the paper's 75-bit frame encoding.
-    pub fn new(models: Vec<IntegerMlp>) -> Self {
-        MultiStreamingEvaluator::with_encoder(models, IdBitsPayloadBits)
-    }
-}
-
-impl<E: FrameEncoder> MultiStreamingEvaluator<E> {
-    /// An N-model evaluator with a custom frame encoder. All models must
-    /// share the encoder's input dimension.
-    pub fn with_encoder(models: Vec<IntegerMlp>, encoder: E) -> Self {
-        let dim = encoder.dim();
-        let n = models.len();
-        MultiStreamingEvaluator {
-            models,
-            encoder,
-            fbuf: vec![0.0; dim],
-            xbuf: vec![0; dim],
-            scratch: IntScratch::new(),
-            cms: vec![ConfusionMatrix::new(); n],
-            fused_cm: ConfusionMatrix::new(),
-            frames: 0,
-        }
-    }
-
-    /// Classifies one record through every model off one encoding pass,
-    /// updating the per-model and fused confusion matrices.
-    pub fn push(&mut self, rec: &LabeledFrame) -> MultiStreamVerdict {
-        self.encoder.encode_into(&rec.frame, &mut self.fbuf);
-        let truth_attack = rec.label.is_attack();
-        let mut classes = Vec::with_capacity(self.models.len());
-        let mut flagged = false;
-        // Same quantisation as the single-model evaluator, clamped to
-        // each model's own input levels — performed once and re-clamped
-        // only when a model's level count differs from the buffer's
-        // (never, in the homogeneous fleets deployed here).
-        let mut quantised_for: Option<u32> = None;
-        for (model, cm) in self.models.iter().zip(&mut self.cms) {
-            if quantised_for != Some(model.input_levels) {
-                for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
-                    *x = (f.round().max(0.0) as u32).min(model.input_levels);
-                }
-                quantised_for = Some(model.input_levels);
-            }
-            let class = model.infer_class(&self.xbuf, &mut self.scratch);
-            cm.record(class != 0, truth_attack);
-            flagged |= class != 0;
-            classes.push(class);
-        }
-        self.fused_cm.record(flagged, truth_attack);
-        self.frames += 1;
-        MultiStreamVerdict {
-            classes,
-            flagged,
-            truth_attack,
-        }
-    }
-
-    /// Per-model confusion matrices, in model order.
-    pub fn confusions(&self) -> &[ConfusionMatrix] {
-        &self.cms
-    }
-
-    /// The fused (any-model-flags) confusion matrix.
-    pub fn fused_confusion(&self) -> &ConfusionMatrix {
-        &self.fused_cm
-    }
-
-    /// Attached models.
-    pub fn models(&self) -> &[IntegerMlp] {
-        &self.models
-    }
-
-    /// Frames classified so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Resets the online accounting, keeping the models.
-    pub fn reset(&mut self) {
-        for cm in &mut self.cms {
-            *cm = ConfusionMatrix::new();
-        }
-        self.fused_cm = ConfusionMatrix::new();
         self.frames = 0;
     }
 }
@@ -602,47 +463,6 @@ mod tests {
         }
         // FD-class pacing offers a strictly higher frame rate.
         assert!(reports[1].offered_fps > reports[0].offered_fps);
-    }
-
-    #[test]
-    fn multi_evaluator_matches_independent_single_evaluators() {
-        let models: Vec<IntegerMlp> = (0..3)
-            .map(|i| {
-                QuantMlp::new(MlpConfig {
-                    seed: 40 + i,
-                    ..MlpConfig::paper_4bit()
-                })
-                .unwrap()
-                .export()
-                .unwrap()
-            })
-            .collect();
-        let capture = quick_capture(true, 8);
-        let mut multi = MultiStreamingEvaluator::new(models.clone());
-        let mut singles: Vec<StreamingEvaluator> = models
-            .iter()
-            .map(|m| StreamingEvaluator::new(m.clone()))
-            .collect();
-        for rec in capture.iter() {
-            let v = multi.push(rec);
-            assert_eq!(v.classes.len(), 3);
-            let mut any = false;
-            for (k, single) in singles.iter_mut().enumerate() {
-                let sv = single.push(rec);
-                assert_eq!(v.classes[k], sv.class, "model {k} diverged");
-                any |= sv.flagged;
-            }
-            assert_eq!(v.flagged, any);
-            assert_eq!(v.truth_attack, rec.label.is_attack());
-        }
-        for (k, single) in singles.iter().enumerate() {
-            assert_eq!(&multi.confusions()[k], single.confusion(), "model {k}");
-        }
-        assert_eq!(multi.frames(), capture.len() as u64);
-        assert_eq!(multi.fused_confusion().total(), capture.len() as u64);
-        multi.reset();
-        assert_eq!(multi.frames(), 0);
-        assert_eq!(multi.models().len(), 3);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! determinism: the event-driven transport is pinned to the analytic
 //! gateway path via `f64::to_bits`, the event-skip simulator and the
 //! harness unification were accepted only because reports matched digit
-//! for digit, and the reassociated SIMD `linear_forward` is gated on
-//! being able to say which paths may reorder float sums. This crate is
+//! for digit, and the float MLP has exactly one pinned-order
+//! `linear_forward` kernel, so no path may reorder float sums. This crate is
 //! the static enforcement of those invariants: a dependency-free,
 //! token-level analysis pass (hand-rolled lexer, no `syn` — crates.io
 //! is unreachable here) with five rules, an explicit audited

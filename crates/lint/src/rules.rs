@@ -38,9 +38,9 @@ pub enum Rule {
     TruncatingCast,
     /// Float accumulation (`.sum()`, additive `fold`, `+=` on a float
     /// local) outside the pinned-order kernel helpers in `qnn::tensor`.
-    /// Summation order is the contract that lets the reassociated SIMD
-    /// kernel ship on the inference path while training keeps the
-    /// pinned order — accumulation anywhere else must name its order.
+    /// Summation order is part of the bit-exactness contract: training
+    /// and eval share one pinned-order kernel, so accumulation anywhere
+    /// else must name its order.
     FloatReassociation,
     /// `unwrap`/`expect`/`panic!` in non-test `canids-core` library
     /// code. Library panics take down whole serving harnesses; fallible
@@ -233,8 +233,9 @@ fn is_id_like(t: &str) -> bool {
 /// functions that *define* the workspace's summation order. Float
 /// accumulation inside these bodies is the contract, not a violation;
 /// accumulation in any other `tensor.rs` function is a reassociation
-/// point and must carry its own audited allow. Today exactly one such
-/// site exists: `linear_forward_fast_into`, the inference-path kernel.
+/// point and must carry its own audited allow. Today no such site
+/// exists: training and eval share the one pinned-order kernel, and
+/// this census is what keeps a second float semantics from returning.
 const PINNED_TENSOR_FNS: [&str; 6] = [
     "dot8",
     "dot",

@@ -238,123 +238,6 @@ fn dot(x: &[f32], w: &[f32]) -> f32 {
     acc
 }
 
-/// `y = x · Wᵀ + b` — the **reassociated** fast forward kernel.
-///
-/// Same contract and shapes as [`linear_forward`], but each neuron's
-/// `k`-summation runs as eight independent partial-sum lanes (SIMD
-/// width) instead of one sequential chain, so results can differ from
-/// the pinned-order kernel in the last bits. The combine order is
-/// fixed — lanes reduce pairwise as `((s0+s4)+(s1+s5)) +
-/// ((s2+s6)+(s3+s7))`, then the `k % 8` tail, then the bias — so the
-/// kernel is still deterministic run-to-run; it is only *reassociated*
-/// relative to [`linear_forward`].
-///
-/// Use this on inference-only paths (`QuantMlp` eval-mode forwards).
-/// Training and any path whose bit-exactness contract spans the float
-/// domain must stay on [`linear_forward`]; the `float-reassociation`
-/// lint confines reassociated accumulation to this one audited site.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn linear_forward_fast(x: &Matrix, w: &Matrix, b: &[f32]) -> Matrix {
-    let mut y = Matrix::zeros(x.rows, w.rows);
-    linear_forward_fast_into(x, w, b, &mut y);
-    y
-}
-
-/// [`linear_forward_fast`] into a caller-provided output matrix — the
-/// allocation-free variant for buffer-reusing inference loops.
-///
-/// All reassociated accumulation in the workspace lives in this one
-/// function body (eight-output blocks with eight partial-sum lanes per
-/// neuron, plus the lane-tailed remainder columns and remainder
-/// neurons), which is what keeps the audit surface a single site.
-///
-/// # Panics
-///
-/// Panics on shape mismatch, including a mis-sized `y`.
-// lint:allow(float-reassociation): the single audited reassociated kernel — 8 partial-sum lanes per neuron with a fixed pairwise combine order, inference-only callers (training stays on the pinned-order linear_forward)
-pub fn linear_forward_fast_into(x: &Matrix, w: &Matrix, b: &[f32], y: &mut Matrix) {
-    assert_eq!(x.cols, w.cols, "x cols must equal w cols (input dim)");
-    assert_eq!(
-        b.len(),
-        w.rows,
-        "bias length must equal w rows (output dim)"
-    );
-    assert_eq!(y.rows, x.rows, "y rows must equal x rows (batch)");
-    assert_eq!(y.cols, w.rows, "y cols must equal w rows (output dim)");
-    let n = w.cols;
-    let out_dim = w.rows;
-    for r in 0..x.rows {
-        let xr = &x.row(r)[..n];
-        let yr = y.row_mut(r);
-        let mut o = 0usize;
-        while o + 8 <= out_dim {
-            let ws = &w.data[o * n..(o + 8) * n];
-            // Re-slicing each weight row to a common length drops bounds
-            // checks in the chunk loop, same idiom as `dot8`.
-            let rows = [
-                &ws[..n],
-                &ws[n..2 * n],
-                &ws[2 * n..3 * n],
-                &ws[3 * n..4 * n],
-                &ws[4 * n..5 * n],
-                &ws[5 * n..6 * n],
-                &ws[6 * n..7 * n],
-                &ws[7 * n..8 * n],
-            ];
-            // Eight independent lanes per output neuron: the chunk loop
-            // carries 64 accumulators (8 neurons × 8 lanes), so the FP
-            // adds pipeline instead of serialising on one chain.
-            let mut acc = [[0.0f32; 8]; 8];
-            let mut k = 0usize;
-            while k + 8 <= n {
-                let xc = &xr[k..k + 8];
-                for j in 0..8 {
-                    let wc = &rows[j][k..k + 8];
-                    let a = &mut acc[j];
-                    for l in 0..8 {
-                        a[l] += xc[l] * wc[l];
-                    }
-                }
-                k += 8;
-            }
-            for j in 0..8 {
-                let a = &acc[j];
-                let wr = rows[j];
-                let mut tail = 0.0f32;
-                for kk in k..n {
-                    tail += xr[kk] * wr[kk];
-                }
-                let lanes = ((a[0] + a[4]) + (a[1] + a[5])) + ((a[2] + a[6]) + (a[3] + a[7]));
-                yr[o + j] = (lanes + tail) + b[o + j];
-            }
-            o += 8;
-        }
-        while o < out_dim {
-            let wr = &w.row(o)[..n];
-            let mut acc = [0.0f32; 8];
-            let mut k = 0usize;
-            while k + 8 <= n {
-                for l in 0..8 {
-                    acc[l] += xr[k + l] * wr[k + l];
-                }
-                k += 8;
-            }
-            let mut tail = 0.0f32;
-            while k < n {
-                tail += xr[k] * wr[k];
-                k += 1;
-            }
-            let lanes =
-                ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
-            yr[o] = (lanes + tail) + b[o];
-            o += 1;
-        }
-    }
-}
-
 /// `dx = dy · W` — gradient with respect to the layer input.
 ///
 /// Shapes: `dy` is `batch × out`, `w` is `out × in`; result `batch × in`.
@@ -580,92 +463,6 @@ mod tests {
             let want = scalar_forward(&x, &w, &b);
             assert_eq!(got.as_slice(), want.as_slice(), "{rows}x{out}");
         }
-    }
-
-    #[test]
-    fn fast_forward_matches_pinned_within_eps() {
-        // Reassociation moves rounding, not magnitude: for inputs in
-        // [-1, 1] the two kernels agree to a few ulps of the running
-        // sum. Shapes cover every block/tail combination on both axes.
-        for (rows, out, cols) in [
-            (1usize, 1usize, 1usize),
-            (1, 1, 7),
-            (1, 1, 8),
-            (1, 1, 9),
-            (3, 5, 3),
-            (7, 4, 75),
-            (4, 8, 16),
-            (64, 64, 75),
-            (5, 66, 75),
-            (2, 17, 23),
-        ] {
-            let x = pseudo_matrix(rows, cols, 21);
-            let w = pseudo_matrix(out, cols, 23);
-            let b: Vec<f32> = (0..out).map(|i| i as f32 * 0.01 - 0.2).collect();
-            let pinned = linear_forward(&x, &w, &b);
-            let fast = linear_forward_fast(&x, &w, &b);
-            for (p, f) in pinned.as_slice().iter().zip(fast.as_slice()) {
-                assert!(
-                    (p - f).abs() <= 1e-4 * (1.0 + p.abs()),
-                    "{rows}x{out}x{cols}: pinned {p} vs fast {f}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_forward_is_exact_when_sums_are_representable() {
-        // Small-integer values make every product and partial sum exact
-        // in f32, so reassociation cannot move a single bit: the fast
-        // kernel must agree with the pinned kernel exactly. This pins
-        // the fast kernel's *determinism* (fixed lane combine order)
-        // without claiming bit-identity on general inputs.
-        for (rows, out, cols) in [(2usize, 9usize, 75usize), (3, 16, 11), (1, 4, 6)] {
-            let mut state = 77u32;
-            let mut gen = |len: usize| {
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                    data.push(((state >> 24) % 7) as f32 - 3.0);
-                }
-                data
-            };
-            let x = Matrix::from_vec(rows, cols, gen(rows * cols));
-            let w = Matrix::from_vec(out, cols, gen(out * cols));
-            let b: Vec<f32> = (0..out).map(|i| i as f32 - 1.0).collect();
-            let pinned = linear_forward(&x, &w, &b);
-            let fast = linear_forward_fast(&x, &w, &b);
-            assert_eq!(pinned.as_slice(), fast.as_slice(), "{rows}x{out}x{cols}");
-            let again = linear_forward_fast(&x, &w, &b);
-            assert_eq!(fast.as_slice(), again.as_slice());
-        }
-    }
-
-    #[test]
-    fn fast_forward_into_reuses_buffer() {
-        let x = pseudo_matrix(4, 9, 24);
-        let w = pseudo_matrix(6, 9, 25);
-        let b = vec![0.5; 6];
-        let mut y = pseudo_matrix(4, 6, 26); // stale contents must be overwritten
-        linear_forward_fast_into(&x, &w, &b, &mut y);
-        assert_eq!(y, linear_forward_fast(&x, &w, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "x cols must equal w cols")]
-    fn fast_forward_validates_shapes() {
-        let x = Matrix::zeros(1, 3);
-        let w = Matrix::zeros(2, 4);
-        linear_forward_fast(&x, &w, &[0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "y cols must equal w rows")]
-    fn fast_forward_into_validates_output_shape() {
-        let x = Matrix::zeros(2, 3);
-        let w = Matrix::zeros(4, 3);
-        let mut y = Matrix::zeros(2, 5);
-        linear_forward_fast_into(&x, &w, &[0.0; 4], &mut y);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Property-based tests of the quantizers and the integer export.
+//! Property-based tests of the quantizers, the quantised layer forward
+//! and the integer export.
 
+use canids_qnn::layers::QuantLinear;
 use canids_qnn::prelude::*;
 use canids_qnn::quant::{ActQuantizer, WeightQuantizer};
+use canids_qnn::tensor::linear_forward;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #[test]
@@ -51,6 +56,38 @@ proptest! {
             prop_assert!(level >= last, "quantisation must be monotone");
             last = level;
         }
+    }
+
+    // Eval mode runs the pinned-order kernel, not an approximation of
+    // it: the layer's eval forward is bit-identical to `linear_forward`
+    // over its fake-quantised weights (rebuilt from `int_weights()`) for
+    // any shape and bit-width, including `k % 8` tails and sub-block
+    // output counts.
+    #[test]
+    fn eval_forward_is_bit_identical_to_pinned_kernel(
+        in_dim in 1usize..90,
+        out_dim in 1usize..70,
+        batch in 1usize..6,
+        bits in 2u8..=8,
+        seed in 0u64..500,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut layer = QuantLinear::new(in_dim, out_dim, BitWidth::new(bits).unwrap(), &mut rng);
+        let x = Matrix::from_vec(
+            batch,
+            in_dim,
+            (0..batch * in_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+        );
+        let got = layer.forward(&x, false);
+        let (codes, scale) = layer.int_weights();
+        let wq = Matrix::from_vec(
+            out_dim,
+            in_dim,
+            codes.iter().map(|&c| c as f32 * scale).collect(),
+        );
+        let want = linear_forward(&x, &wq, &layer.bias().data);
+        let bits_of = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits_of(&got), bits_of(&want));
     }
 
     #[test]
