@@ -492,6 +492,45 @@ mod tests {
         linear_forward(&x, &w, &[0.0, 0.0]);
     }
 
+    // The `fast_forward_*` tests pin the inference (eval-mode) use of
+    // the kernel: one output buffer reused across frames at the serving
+    // shape (75 inputs, full and partial eight-neuron blocks), and the
+    // shape checks not covered above.
+
+    #[test]
+    fn fast_forward_into_reuses_buffer() {
+        for out in [64usize, 66] {
+            let w = pseudo_matrix(out, 75, 25);
+            let b: Vec<f32> = (0..out).map(|i| i as f32 * 0.01 - 0.2).collect();
+            let mut y = pseudo_matrix(3, out, 26); // stale contents must be overwritten
+            for seed in [27u32, 28, 29] {
+                let x = pseudo_matrix(3, 75, seed);
+                linear_forward_into(&x, &w, &b, &mut y);
+                let fresh = linear_forward(&x, &w, &b);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&fresh), "out {out}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bias length must equal w rows")]
+    fn fast_forward_validates_shapes() {
+        let x = Matrix::zeros(1, 3);
+        let w = Matrix::zeros(2, 3);
+        linear_forward(&x, &w, &[0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "y rows must equal x rows")]
+    fn fast_forward_into_validates_output_shape() {
+        let x = Matrix::zeros(2, 3);
+        let w = Matrix::zeros(4, 3);
+        let mut y = Matrix::zeros(3, 4);
+        linear_forward_into(&x, &w, &[0.0; 4], &mut y);
+    }
+
     #[test]
     #[should_panic(expected = "buffer length")]
     fn from_vec_validates_length() {

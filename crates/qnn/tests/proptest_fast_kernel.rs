@@ -1,15 +1,13 @@
-//! Re-validation of the reassociated fast inference kernel.
+//! Properties of the inference (eval-mode) forward kernel.
 //!
-//! `linear_forward_fast` reorders each neuron's summation into eight
-//! partial-sum lanes, so its logits may differ from the pinned-order
-//! kernel in the last float bits. These properties pin what is allowed
-//! to change (logit ulps, bounded) and what is not (classification:
-//! per-row argmax after quantised inference).
+//! Eval-mode `QuantLinear::forward` runs `linear_forward`, the same
+//! pinned-order kernel that training uses. These properties bound its
+//! rounding against exact arithmetic and pin that a quantised layer's
+//! class decision is exactly the pinned kernel's, with no tie tolerance.
 
 use canids_qnn::layers::QuantLinear;
-use canids_qnn::mlp::{MlpConfig, QuantMlp};
 use canids_qnn::quant::BitWidth;
-use canids_qnn::tensor::{linear_forward, linear_forward_fast, Matrix};
+use canids_qnn::tensor::{linear_forward, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,29 +43,12 @@ fn argmax(row: &[f32]) -> usize {
         .unwrap_or(0)
 }
 
-/// Asserts the two kernels classify `pinned` vs `fast` identically,
-/// except where the pinned top-2 logits tie to within the kernels'
-/// reassociation rounding (`tol`): quantised weights over integer
-/// features produce *mathematically tied* logits routinely, and a tie's
-/// float ordering is rounding-defined under either summation order.
-/// (The deployed post-quantisation path — `IntegerMlp`'s thresholded
-/// integer inference — never touches a float kernel and stays
-/// bit-identical unconditionally.)
-fn assert_argmax_agrees(pinned: &[f32], fast: &[f32], tol: f32, ctx: &str) {
-    let (p, f) = (argmax(pinned), argmax(fast));
-    if p != f {
-        let gap = (pinned[p] - pinned[f]).abs();
-        assert!(
-            gap <= tol * (1.0 + pinned[p].abs()),
-            "{ctx}: argmax {p} vs {f} with non-tied gap {gap} (pinned {pinned:?} fast {fast:?})"
-        );
-    }
-}
-
 proptest! {
-    // The fast kernel is a reassociation, not an approximation: the
-    // difference from the pinned kernel stays within a few ulps of the
-    // running sum across random shapes, including `k % 8` tails and
+    // Sequential f32 summation of `n` products plus a bias is within
+    // `gamma(n + 1) * (sum |x_k w_k| + |b|)` of the exact value, with
+    // `gamma(m) = m u / (1 - m u)` and `u = 2^-24`. The reference sums
+    // the exactly representable f64 products; one more term of slack
+    // covers its own rounding. Shapes include `k % 8` tails and
     // sub-block output counts.
     #[test]
     fn fast_kernel_error_bounded(
@@ -79,20 +60,32 @@ proptest! {
         let x = pseudo_matrix(rows, cols, seed);
         let w = pseudo_matrix(out, cols, seed.wrapping_add(17));
         let b: Vec<f32> = (0..out).map(|i| i as f32 * 0.01 - 0.1).collect();
-        let pinned = linear_forward(&x, &w, &b);
-        let fast = linear_forward_fast(&x, &w, &b);
-        for (p, f) in pinned.as_slice().iter().zip(fast.as_slice()) {
-            prop_assert!(
-                (p - f).abs() <= 2e-4 * (1.0 + p.abs()),
-                "{rows}x{out}x{cols}: pinned {p} vs fast {f}"
-            );
+        let y = linear_forward(&x, &w, &b);
+        let u = f64::from(f32::EPSILON) / 2.0;
+        let m = (cols + 2) as f64;
+        let gamma = m * u / (1.0 - m * u);
+        for r in 0..rows {
+            for o in 0..out {
+                let (mut exact, mut magnitude) = (f64::from(b[o]), f64::from(b[o]).abs());
+                for k in 0..cols {
+                    let p = f64::from(x[(r, k)]) * f64::from(w[(o, k)]);
+                    exact += p;
+                    magnitude += p.abs();
+                }
+                let got = f64::from(y[(r, o)]);
+                prop_assert!(
+                    (got - exact).abs() <= gamma * magnitude,
+                    "{rows}x{out}x{cols} at ({r}, {o}): {got} vs exact {exact}"
+                );
+            }
         }
     }
 
-    // Layer-level quantised inference: the shipped eval forward (fast
-    // kernel over fake-quantised weights) picks the same class as the
-    // pinned kernel over the identical quantised weights, reconstructed
-    // independently from `int_weights()`.
+    // Layer-level quantised inference: the shipped eval forward picks
+    // exactly the class the pinned kernel picks over the identical
+    // quantised weights, reconstructed independently from
+    // `int_weights()`. Integer features make mathematical ties common;
+    // one kernel means they break the same way on both sides.
     #[test]
     fn quantised_layer_argmax_matches_pinned(
         in_dim in 1usize..80,
@@ -104,7 +97,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layer = QuantLinear::new(in_dim, out_dim, BitWidth::new(bits).unwrap(), &mut rng);
         let x = pseudo_features(batch, in_dim, seed as u32 ^ 0x5a5a);
-        let fast = layer.forward(&x, false);
+        let eval = layer.forward(&x, false);
         let (codes, scale) = layer.int_weights();
         let wq = Matrix::from_vec(
             out_dim,
@@ -113,52 +106,11 @@ proptest! {
         );
         let pinned = linear_forward(&x, &wq, &layer.bias().data);
         for r in 0..batch {
-            assert_argmax_agrees(
-                pinned.row(r),
-                fast.row(r),
-                2e-4,
-                &format!("row {r} of {batch}x{out_dim}x{in_dim} (w{bits})"),
-            );
-        }
-    }
-
-    // Model-level: random topologies (depth, widths, bit widths, BN
-    // on/off) classify identically through the fast eval forward and
-    // the pinned-order reference forward, up to mathematical ties.
-    #[test]
-    fn model_argmax_matches_pinned_reference(
-        input_dim in 1usize..40,
-        h1 in 1usize..24,
-        h2 in 0usize..12,
-        classes in 2usize..5,
-        bn_flip in 0u8..2,
-        bits in 2u8..=8,
-        seed in 0u64..100,
-    ) {
-        let batch_norm = bn_flip == 1;
-        let mut hidden = vec![h1];
-        if h2 > 0 {
-            hidden.push(h2);
-        }
-        let mut mlp = QuantMlp::new(MlpConfig {
-            input_dim,
-            hidden,
-            classes,
-            weight_bits: BitWidth::new(bits).unwrap(),
-            batch_norm,
-            seed,
-            ..MlpConfig::default()
-        })
-        .unwrap();
-        let x = pseudo_features(4, input_dim, seed as u32 ^ 0xc3c3);
-        let fast = mlp.forward(&x, false);
-        let pinned = mlp.forward_reference(&x);
-        for r in 0..4 {
-            assert_argmax_agrees(
-                pinned.row(r),
-                fast.row(r),
-                1e-3,
-                &format!("row {r} (in {input_dim}, classes {classes}, bn {batch_norm})"),
+            prop_assert_eq!(
+                argmax(eval.row(r)),
+                argmax(pinned.row(r)),
+                "row {} of {}x{}x{} (w{})",
+                r, batch, out_dim, in_dim, bits
             );
         }
     }
