@@ -365,7 +365,8 @@ fn main() {
 
     // 7b. The deterministic telemetry core (PR 9): the same three
     // backends replayed once more with a probe attached. The software
-    // path splits the fused featurise -> pack -> infer pipeline (wall
+    // path splits the fused featurise -> infer pipeline, featurise
+    // encoding straight to packed bits so pack is a zero-width span (wall
     // durations through the audited WallClock gate, host timing by
     // contract); the batched ECU path profiles DMA windows and the
     // event-driven fleet transport traces per-frame gateway hops, both

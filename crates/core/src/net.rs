@@ -1091,9 +1091,9 @@ struct Babble {
 }
 
 fn flood_frame() -> CanFrame {
-    // lint:allow(panic-in-lib): id 0 is statically within the 11-bit range
-    CanFrame::new(CanId::standard(0).expect("id 0 is valid"), &[0xAA; 8])
-        // lint:allow(panic-in-lib): a static 8-byte payload is always well-formed
+    CanId::standard(0)
+        .and_then(|id| CanFrame::new(id, &[0xAA; 8]))
+        // lint:allow(panic-in-lib): id 0 is within the 11-bit range and a static 8-byte payload is well-formed
         .expect("static flood frame is well-formed")
 }
 

@@ -49,7 +49,6 @@ use canids_dataset::record::LabeledFrame;
 use canids_dataset::stream::paced_records;
 use canids_qnn::export::IntegerMlp;
 use canids_qnn::metrics::ConfusionMatrix;
-use canids_qnn::QnnError;
 use canids_soc::ecu::{EcuConfig, EcuStream, IdsEcu, SchedPolicy, ServiceQueue};
 
 use crate::deploy::MultiIdsDeployment;
@@ -925,31 +924,27 @@ impl ServeBackend for SoftwareBackend {
         self.models.len()
     }
 
+    /// Compiles each model into its [`canids_qnn::export::PackedMlp`]
+    /// serving kernel, once per evaluator.
+    ///
     /// # Errors
     ///
-    /// [`CoreError::Qnn`] with [`QnnError::DimensionMismatch`] when a
-    /// model's first-layer width differs from the 75-bit frame
-    /// encoder's dimension.
+    /// [`CoreError::Qnn`] with the kernel's typed error
+    /// ([`StreamingEvaluator::try_with_encoder`]): a model whose
+    /// first-layer width differs from the 75-bit frame encoder's
+    /// dimension ([`canids_qnn::QnnError::DimensionMismatch`]), takes
+    /// non-binary inputs ([`canids_qnn::QnnError::InputLevels`]) or
+    /// needs lanes wider than `i32`
+    /// ([`canids_qnn::QnnError::AccumulatorOverflow`]).
     fn open(&mut self, config: &ReplayConfig) -> Result<SoftwareSession, CoreError> {
-        let dim = IdBitsPayloadBits.dim();
-        for model in &self.models {
-            let actual = model.layer_dims().first().map_or(0, |&(input, _)| input);
-            if actual != dim {
-                return Err(QnnError::DimensionMismatch {
-                    context: "software backend model input vs frame encoder",
-                    expected: dim,
-                    actual,
-                }
-                .into());
-            }
-        }
+        let evals = self
+            .models
+            .iter()
+            .map(|m| StreamingEvaluator::try_with_encoder(m.clone(), IdBitsPayloadBits))
+            .collect::<Result<Vec<_>, _>>()?;
         let depth = config.ecu.queue_depth.max(1);
         Ok(SoftwareSession {
-            evals: self
-                .models
-                .iter()
-                .map(|m| StreamingEvaluator::new(m.clone()))
-                .collect(),
+            evals,
             active: vec![true; self.models.len()],
             queue: ServiceQueue::new(depth),
             batch: config.batch.max(1),
@@ -2961,6 +2956,7 @@ mod tests {
     use canids_dataflow::ip::CompileConfig;
     use canids_dataset::attacks::{AttackKind, AttackProfile, BurstSchedule};
     use canids_qnn::mlp::{MlpConfig, QuantMlp};
+    use canids_qnn::QnnError;
 
     fn untrained_model(seed: u64) -> IntegerMlp {
         QuantMlp::new(MlpConfig {
@@ -3144,6 +3140,39 @@ mod tests {
                     actual: 8,
                     ..
                 })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn software_backend_rejects_non_binary_input_levels() {
+        // The packed kernel reads one bit per feature; a model expecting
+        // multi-level inputs is refused when the session opens.
+        let mut model = untrained_model(1);
+        model.input_levels = 3;
+        let err = SoftwareBackend::single(model)
+            .open(&ReplayConfig::default())
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Qnn(QnnError::InputLevels(3))),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn software_backend_rejects_accumulators_wider_than_i32() {
+        // 75 inputs × 2^30 per weight: the first layer's accumulator
+        // range is beyond the kernel's widest lane.
+        let mut model = untrained_model(1);
+        model.blocks[0].weights.fill(1 << 30);
+        let err = SoftwareBackend::single(model)
+            .open(&ReplayConfig::default())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Qnn(QnnError::AccumulatorOverflow { layer: 0, lo: 0, hi }) if hi > i64::from(i32::MAX)
             ),
             "{err}"
         );

@@ -5,15 +5,18 @@
 //! time, paced by the wire, and the detector must keep up with a
 //! saturated bus. This module provides that serving mode:
 //!
-//! * [`StreamingEvaluator`] — incremental featurisation + per-frame
-//!   integer MLP inference + online [`ConfusionMatrix`] accounting, with
-//!   all per-frame buffers reused (no per-frame feature allocation).
-//!   [`StreamingEvaluator::push`] and the windowed
-//!   [`StreamingEvaluator::push_batch`] share one classify body; the
-//!   batch form optionally times the featurise/pack/infer stages into a
-//!   [`StagedNanos`]. Streaming and batch evaluation produce *identical*
-//!   predictions and confusion matrices on the same capture — the
-//!   equivalence tests pin this.
+//! * [`StreamingEvaluator`] — incremental featurisation straight into
+//!   packed input bits ([`FrameEncoder::encode_bits_into`]), per-frame
+//!   inference through the compiled [`PackedMlp`] kernel, and online
+//!   [`ConfusionMatrix`] accounting, with all per-frame buffers reused
+//!   (no per-frame allocation). [`StreamingEvaluator::push`] and the
+//!   windowed [`StreamingEvaluator::push_batch`] share one classify
+//!   body; the batch form optionally times its stages into a
+//!   [`StagedNanos`]. The featurise stage covers encode-to-bits, so the
+//!   pack stage is a recorded zero-width span. Streaming and batch
+//!   evaluation produce *identical* predictions and confusion matrices
+//!   on the same capture, and the kernel's scores equal
+//!   [`IntegerMlp::infer`]'s — the equivalence tests pin both.
 //! * [`LineRateScenario`] — canned wire-pacing scenarios (classic
 //!   1 Mb/s, FD-class) that map onto the unified serving harness
 //!   ([`crate::serve::ServeHarness`] with
@@ -26,8 +29,9 @@ use canids_dataset::attacks::AttackProfile;
 use canids_dataset::features::{FrameEncoder, IdBitsPayloadBits};
 use canids_dataset::generator::{Dataset, DatasetBuilder, TrafficConfig};
 use canids_dataset::record::LabeledFrame;
-use canids_qnn::export::{IntScratch, IntegerMlp};
+use canids_qnn::export::{IntegerMlp, PackedMlp, PackedScratch};
 use canids_qnn::metrics::ConfusionMatrix;
+use canids_qnn::QnnError;
 use canids_soc::ecu::EcuConfig;
 
 use crate::serve::ReplayConfig;
@@ -35,9 +39,14 @@ use crate::telemetry::{Probe, Stage, WallClock};
 
 /// Accumulated wall-clock nanoseconds per hot-path stage, filled by
 /// [`StreamingEvaluator::push_batch`] when it is handed one — the
-/// profiled form of the fused featurise→pack→infer dispatch. A serving
+/// profiled form of the fused featurise→infer dispatch. A serving
 /// session accumulates one of these per dispatch and lays the stages
 /// out as consecutive telemetry spans from the service start.
+///
+/// Featurising encodes the frame straight into the kernel's packed
+/// input bits, so there is no separate pack stage to time: the
+/// [`Stage::Pack`] span is recorded with zero width, which keeps its
+/// counts and the trace schema.
 ///
 /// ```
 /// let mut stages = canids_core::stream::StagedNanos::default();
@@ -47,30 +56,27 @@ use crate::telemetry::{Probe, Stage, WallClock};
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StagedNanos {
-    /// Wall nanoseconds spent encoding the frame into float features.
+    /// Wall nanoseconds spent encoding frames into packed input bits.
     pub featurise: u64,
-    /// Wall nanoseconds spent quantising/packing features to levels.
-    pub pack: u64,
-    /// Wall nanoseconds spent in the integer MLP forward pass.
+    /// Wall nanoseconds spent in the packed integer kernel.
     pub infer: u64,
 }
 
 impl StagedNanos {
-    /// Total nanoseconds across the three stages.
+    /// Total nanoseconds across the stages.
     pub fn total(&self) -> u64 {
-        self.featurise + self.pack + self.infer
+        self.featurise + self.infer
     }
 
-    /// Records the three stages on `probe` as consecutive spans laid
-    /// out from `start` on the virtual clock (featurise, then pack,
-    /// then infer).
+    /// Records the stages on `probe` as consecutive spans laid out from
+    /// `start` on the virtual clock: featurise, a zero-width pack, then
+    /// infer.
     pub fn record_from(&self, probe: &Probe, shard: u32, start: SimTime) {
         let f_end = start + SimTime::from_nanos(self.featurise);
-        let p_end = f_end + SimTime::from_nanos(self.pack);
-        let i_end = p_end + SimTime::from_nanos(self.infer);
+        let i_end = f_end + SimTime::from_nanos(self.infer);
         probe.record(shard, Stage::Featurise, start, f_end);
-        probe.record(shard, Stage::Pack, f_end, p_end);
-        probe.record(shard, Stage::Infer, p_end, i_end);
+        probe.record(shard, Stage::Pack, f_end, f_end);
+        probe.record(shard, Stage::Infer, f_end, i_end);
     }
 }
 
@@ -92,7 +98,8 @@ impl StreamVerdict {
     }
 }
 
-/// Frame-at-a-time evaluator over a streamlined integer model.
+/// Frame-at-a-time evaluator over a streamlined integer model, served
+/// by the model compiled into a [`PackedMlp`].
 ///
 /// # Example
 ///
@@ -113,15 +120,19 @@ impl StreamVerdict {
 pub struct StreamingEvaluator<E: FrameEncoder = IdBitsPayloadBits> {
     model: IntegerMlp,
     encoder: E,
-    fbuf: Vec<f32>,
-    xbuf: Vec<u32>,
-    scratch: IntScratch,
+    kernel: PackedMlp,
+    words: Vec<u64>,
+    scratch: PackedScratch,
     cm: ConfusionMatrix,
     frames: u64,
 }
 
 impl StreamingEvaluator<IdBitsPayloadBits> {
     /// An evaluator using the paper's 75-bit frame encoding.
+    ///
+    /// # Panics
+    ///
+    /// As [`with_encoder`](StreamingEvaluator::with_encoder).
     pub fn new(model: IntegerMlp) -> Self {
         StreamingEvaluator::with_encoder(model, IdBitsPayloadBits)
     }
@@ -129,27 +140,52 @@ impl StreamingEvaluator<IdBitsPayloadBits> {
 
 impl<E: FrameEncoder> StreamingEvaluator<E> {
     /// An evaluator with a custom frame encoder.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_with_encoder`](Self::try_with_encoder) returns
+    /// an error. Serving backends take that typed path instead.
     pub fn with_encoder(model: IntegerMlp, encoder: E) -> Self {
-        let dim = encoder.dim();
-        StreamingEvaluator {
+        // lint:allow(panic-in-lib): documented panic of the infallible constructor; serving opens through try_with_encoder
+        Self::try_with_encoder(model, encoder).expect("model compiles to the packed kernel")
+    }
+
+    /// An evaluator with a custom frame encoder, compiling `model` into
+    /// its [`PackedMlp`] serving kernel once.
+    ///
+    /// # Errors
+    ///
+    /// Any [`PackedMlp::new`] error, and
+    /// [`QnnError::DimensionMismatch`] when the model's input width
+    /// differs from the encoder's dimension.
+    pub fn try_with_encoder(model: IntegerMlp, encoder: E) -> Result<Self, QnnError> {
+        let kernel = PackedMlp::new(&model)?;
+        if kernel.in_dim() != encoder.dim() {
+            return Err(QnnError::DimensionMismatch {
+                context: "model input vs frame encoder",
+                expected: encoder.dim(),
+                actual: kernel.in_dim(),
+            });
+        }
+        Ok(StreamingEvaluator {
             model,
             encoder,
-            fbuf: vec![0.0; dim],
-            xbuf: vec![0; dim],
-            scratch: IntScratch::new(),
+            words: vec![0; kernel.in_words()],
+            kernel,
+            scratch: PackedScratch::new(),
             cm: ConfusionMatrix::new(),
             frames: 0,
-        }
+        })
     }
 
     /// Classifies one record, updating the online confusion matrix.
     ///
-    /// The fused per-frame path: featurise, quantise and infer through
-    /// the evaluator's reusable buffers (including the model's
-    /// [`IntScratch`]) with **zero intermediate allocation**. The
-    /// quantisation of float features to integer levels matches
-    /// [`IntegerMlp::infer_bits`] exactly, so streaming and batch
-    /// predictions are identical.
+    /// The fused per-frame path: encode the frame into packed input
+    /// bits, then run the [`PackedMlp`] kernel, through the evaluator's
+    /// reusable buffers with **zero intermediate allocation**. A feature
+    /// bit is set exactly when [`IntegerMlp::infer_bits`] rounds it to
+    /// level 1, and the kernel's scores equal [`IntegerMlp::infer`]'s,
+    /// so streaming and batch predictions are identical.
     pub fn push(&mut self, rec: &LabeledFrame) -> StreamVerdict {
         self.classify(rec, None)
     }
@@ -161,10 +197,10 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     /// repeating per frame. Identical predictions and accounting to
     /// calling [`push`](Self::push) per record.
     ///
-    /// With `stages`, each of the three fused stages (featurise,
-    /// quantise/pack, infer) is timed through the audited [`WallClock`]
-    /// shim and its nanoseconds for the whole window accumulate there;
-    /// with `None` no clock is read.
+    /// With `stages`, the featurise (encode-to-bits) and infer stages
+    /// are timed through the audited [`WallClock`] shim and their
+    /// nanoseconds for the whole window accumulate there; with `None`
+    /// no clock is read.
     pub fn push_batch(
         &mut self,
         recs: &[LabeledFrame],
@@ -182,18 +218,13 @@ impl<E: FrameEncoder> StreamingEvaluator<E> {
     fn classify(&mut self, rec: &LabeledFrame, stages: Option<&mut StagedNanos>) -> StreamVerdict {
         let t0 = stages.is_some().then(WallClock::start);
         let lap = || t0.as_ref().map_or(0, |t| t.elapsed_nanos());
-        self.encoder.encode_into(&rec.frame, &mut self.fbuf);
+        self.encoder.encode_bits_into(&rec.frame, &mut self.words);
         let featurised = lap();
-        for (x, &f) in self.xbuf.iter_mut().zip(&self.fbuf) {
-            *x = (f.round().max(0.0) as u32).min(self.model.input_levels);
-        }
-        let packed = lap();
-        let class = self.model.infer_class(&self.xbuf, &mut self.scratch);
+        let class = self.kernel.infer_class(&self.words, &mut self.scratch);
         if let Some(stages) = stages {
             let inferred = lap();
             stages.featurise += featurised;
-            stages.pack += packed.saturating_sub(featurised);
-            stages.infer += inferred.saturating_sub(packed);
+            stages.infer += inferred.saturating_sub(featurised);
         }
         let flagged = class != 0;
         let truth_attack = rec.label.is_attack();

@@ -59,9 +59,12 @@ use std::rc::Rc;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Feature extraction over a raw CAN frame (software hot path).
+    /// Feature extraction over a raw CAN frame (software hot path),
+    /// straight into the serving kernel's packed input bits.
     Featurise,
-    /// Quantise-and-pack of the feature vector into integer levels.
+    /// Quantise-and-pack of the feature vector into integer levels. The
+    /// software path packs while featurising, so it records this span
+    /// with zero width.
     Pack,
     /// Forward pass through the quantised MLP (or the simulated
     /// accelerator's service interval on the ECU path).

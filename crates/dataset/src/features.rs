@@ -34,6 +34,36 @@ pub trait FrameEncoder {
         assert_eq!(out.len(), self.dim(), "output buffer has wrong length");
         out.copy_from_slice(&self.encode(frame));
     }
+
+    /// Encodes into packed binary words, the input of the packed serving
+    /// kernel (`canids_qnn::export::PackedMlp`): feature `i` becomes bit
+    /// `i % 64` of `out[i / 64]`, set when the feature is `>= 0.5`, and
+    /// bits past [`dim`] are zero. `f >= 0.5` is exactly the binary level
+    /// `(f.round().max(0.0) as u32).min(1)` of every `f32`, including NaN
+    /// (0) and the infinities.
+    ///
+    /// The default derives the bits from [`encode_into`] through a
+    /// temporary float buffer; hot-path encoders override it.
+    ///
+    /// [`dim`]: FrameEncoder::dim
+    /// [`encode_into`]: FrameEncoder::encode_into
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != self.dim().div_ceil(64)`.
+    fn encode_bits_into(&self, frame: &CanFrame, out: &mut [u64]) {
+        assert_eq!(
+            out.len(),
+            self.dim().div_ceil(64),
+            "output buffer has wrong length"
+        );
+        let mut features = vec![0.0f32; self.dim()];
+        self.encode_into(frame, &mut features);
+        out.fill(0);
+        for (i, &f) in features.iter().enumerate() {
+            out[i / 64] |= u64::from(f >= 0.5) << (i % 64);
+        }
+    }
 }
 
 /// The paper's 75-bit binary encoding: 11 identifier bits followed by the
@@ -83,6 +113,21 @@ impl FrameEncoder for IdBitsPayloadBits {
                 out[11 + b * 8 + i] = f32::from((byte >> (7 - i)) & 1);
             }
         }
+    }
+
+    /// Straight from the ID and payload: both are MSB-first in the
+    /// feature order and LSB-first in the words, so each is read
+    /// bit-reversed.
+    fn encode_bits_into(&self, frame: &CanFrame, out: &mut [u64]) {
+        assert_eq!(
+            out.len(),
+            FEATURE_BITS_DIM.div_ceil(64),
+            "output buffer has wrong length"
+        );
+        let id = u64::from(frame.id().base_id()).reverse_bits() >> (64 - 11);
+        let payload = u64::from_be_bytes(*frame.data_padded()).reverse_bits();
+        out[0] = id | payload << 11;
+        out[1] = payload >> (64 - 11);
     }
 }
 
@@ -160,6 +205,47 @@ mod tests {
         let mut buf = vec![9.0f32; enc.dim()];
         enc.encode_into(&f, &mut buf);
         assert_eq!(buf, enc.encode(&f));
+    }
+
+    #[test]
+    fn default_bits_follow_the_binary_level_rule() {
+        struct Fixed(Vec<f32>);
+        impl FrameEncoder for Fixed {
+            fn dim(&self) -> usize {
+                self.0.len()
+            }
+            fn encode(&self, _: &CanFrame) -> Vec<f32> {
+                self.0.clone()
+            }
+        }
+        let edges = [
+            0.499_999_97,
+            0.5,
+            1.5,
+            -0.5,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        // 70 features, so the edges also land in the second word.
+        let features: Vec<f32> = edges.iter().cycle().take(70).copied().collect();
+        let enc = Fixed(features.clone());
+        let mut words = [u64::MAX; 2];
+        enc.encode_bits_into(&frame(0x1, &[]), &mut words);
+        for (i, &f) in features.iter().enumerate() {
+            let level = (f.round().max(0.0) as u32).min(1);
+            assert_eq!((words[i / 64] >> (i % 64)) & 1, u64::from(level), "{f}");
+        }
+        assert_eq!(words[1] >> 6, 0, "bits past dim are zero");
+    }
+
+    #[test]
+    fn packed_bits_place_id_then_payload_msb_first() {
+        let mut words = [0u64; 2];
+        IdBitsPayloadBits
+            .encode_bits_into(&frame(0x400, &[0x80, 0, 0, 0, 0, 0, 0, 0x01]), &mut words);
+        // Feature 0 (ID MSB), 11 (first payload MSB), 74 (last payload LSB).
+        assert_eq!(words, [1 | 1 << 11, 1 << (74 - 64)]);
     }
 
     #[test]

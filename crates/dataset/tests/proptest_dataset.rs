@@ -263,4 +263,24 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn packed_bits_equal_thresholded_features(
+        id in arb_can_id(),
+        payload in proptest::collection::vec(any::<u8>(), 0..=8),
+    ) {
+        // The 75-bit encoder's bit-reversed override must agree with the
+        // trait's default: `encode_into`, thresholded at 0.5.
+        let frame = CanFrame::new(id, &payload).unwrap();
+        let enc = IdBitsPayloadBits;
+        let mut features = vec![0.0f32; enc.dim()];
+        enc.encode_into(&frame, &mut features);
+        let mut expected = [0u64; 2];
+        for (i, &f) in features.iter().enumerate() {
+            expected[i / 64] |= u64::from(f >= 0.5) << (i % 64);
+        }
+        let mut words = [u64::MAX; 2];
+        enc.encode_bits_into(&frame, &mut words);
+        prop_assert_eq!(words, expected);
+    }
 }

@@ -28,6 +28,20 @@ pub enum QnnError {
     },
     /// Model has no hidden layers where one was required.
     EmptyTopology,
+    /// The packed serving kernel reads binary inputs; the model expects
+    /// inputs up to this level.
+    InputLevels(u32),
+    /// A layer's integer value range (accumulator bounds, the
+    /// one-past-the-top threshold and input levels) does not fit the
+    /// packed serving kernel's widest lane, `i32`.
+    AccumulatorOverflow {
+        /// Layer index (hidden layers first, then the output layer).
+        layer: usize,
+        /// Lowest value the layer's lanes must hold.
+        lo: i64,
+        /// Highest value the layer's lanes must hold.
+        hi: i64,
+    },
 }
 
 impl fmt::Display for QnnError {
@@ -44,6 +58,14 @@ impl fmt::Display for QnnError {
                 write!(f, "label {label} out of range for {classes} classes")
             }
             QnnError::EmptyTopology => write!(f, "model must have at least one layer"),
+            QnnError::InputLevels(levels) => write!(
+                f,
+                "packed kernel reads binary inputs, model expects input levels up to {levels}"
+            ),
+            QnnError::AccumulatorOverflow { layer, lo, hi } => write!(
+                f,
+                "layer {layer} value range [{lo}, {hi}] exceeds the packed kernel's i32 lanes"
+            ),
         }
     }
 }

@@ -27,6 +27,10 @@ use serde::{Deserialize, Serialize};
 use crate::error::QnnError;
 use crate::mlp::QuantMlp;
 
+mod packed;
+
+pub use packed::{PackedMlp, PackedScratch};
+
 /// Fixed-point shift applied to output-layer scores so the (real-valued)
 /// bias participates in the integer argmax with 2⁻¹⁶ resolution.
 pub const BIAS_SHIFT: u32 = 16;
@@ -71,23 +75,34 @@ impl IntBlock {
     /// Bounds of the integer accumulator given inputs in `0..=in_levels`
     /// — the datapath width the hardware must provision.
     pub fn acc_bounds(&self, in_levels: u32) -> (i64, i64) {
-        let mut lo = 0i64;
-        let mut hi = 0i64;
-        for j in 0..self.out_dim {
-            let mut jlo = 0i64;
-            let mut jhi = 0i64;
-            for &w in self.weight_row(j) {
-                if w > 0 {
-                    jhi += i64::from(w) * i64::from(in_levels);
-                } else {
-                    jlo += i64::from(w) * i64::from(in_levels);
-                }
-            }
-            lo = lo.min(jlo);
-            hi = hi.max(jhi);
-        }
-        (lo, hi)
+        (0..self.out_dim)
+            .map(|j| row_acc_bounds(self.weight_row(j), in_levels))
+            .fold((0, 0), |(lo, hi), (jlo, jhi)| (lo.min(jlo), hi.max(jhi)))
     }
+}
+
+/// Bounds of one neuron's accumulator `Σ wᵢ·aᵢ` over inputs
+/// `aᵢ ∈ 0..=in_levels`: the sum of its negative weights times
+/// `in_levels`, and of its positive weights times `in_levels`.
+fn row_acc_bounds(row: &[i32], in_levels: u32) -> (i64, i64) {
+    row.iter().fold((0, 0), |(lo, hi), &w| {
+        let reach = i64::from(w) * i64::from(in_levels);
+        if w > 0 {
+            (lo, hi + reach)
+        } else {
+            (lo + reach, hi)
+        }
+    })
+}
+
+/// Index of the largest score, ties resolving to the lowest index (0
+/// for no scores).
+fn argmax_lowest(scores: &[i64]) -> usize {
+    scores
+        .iter()
+        .enumerate()
+        .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
+        .map_or(0, |(i, _)| i)
 }
 
 /// The streamlined output layer: integer weights plus fixed-point bias.
@@ -244,13 +259,7 @@ impl IntegerMlp {
                 .scores
                 .push((acc << BIAS_SHIFT) + self.output.bias_q[j]);
         }
-        scratch
-            .scores
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax_lowest(&scratch.scores)
     }
 
     /// Convenience wrapper rounding float features (e.g. the 0.0/1.0 bit

@@ -3,6 +3,7 @@
 
 use canids_core::prelude::*;
 use canids_dataset::generator::TrafficConfig;
+use canids_qnn::export::{PackedMlp, PackedScratch};
 
 fn trained() -> TrainedDetector {
     let pipeline = IdsPipeline::new(PipelineConfig::dos().quick());
@@ -39,6 +40,45 @@ fn streaming_and_batch_agree_on_every_frame() {
 
     assert_eq!(stream_preds, batch_preds, "identical predictions");
     assert_eq!(*eval.confusion(), batch_cm, "identical confusion matrices");
+}
+
+#[test]
+fn packed_kernel_scores_equal_reference_and_accelerator_on_every_capture_frame() {
+    // Score-level, not argmax: the serving kernel, the row-major
+    // reference and the accelerator IP's integer graph agree value for
+    // value on every frame of the trained paper-shape W4A4 detectors'
+    // own captures.
+    for config in [
+        PipelineConfig::dos().quick(),
+        PipelineConfig::fuzzy().quick(),
+    ] {
+        let pipeline = IdsPipeline::new(config);
+        let capture = pipeline.generate_capture();
+        let model = pipeline.train(&capture).unwrap().int_mlp;
+        let kernel = PackedMlp::new(&model).unwrap();
+        let ip = pipeline.compile(&model).unwrap();
+        let enc = IdBitsPayloadBits;
+        let mut words = [0u64; 2];
+        let mut scratch = PackedScratch::new();
+        let mut flagged = 0usize;
+        for rec in capture.iter() {
+            let features = enc.encode(&rec.frame);
+            let reference = model.infer_bits(&features);
+            let levels: Vec<u32> = features.iter().map(|&f| u32::from(f >= 0.5)).collect();
+            let (ip_class, ip_scores) = ip.infer(&levels);
+            enc.encode_bits_into(&rec.frame, &mut words);
+            let class = kernel.infer_class(&words, &mut scratch);
+            assert_eq!(scratch.scores(), reference.scores.as_slice());
+            assert_eq!(scratch.scores(), ip_scores.as_slice());
+            assert_eq!((class, class), (reference.class, ip_class));
+            flagged += usize::from(class != 0);
+        }
+        assert!(
+            flagged > 0 && flagged < capture.len(),
+            "{flagged} of {} frames flagged",
+            capture.len()
+        );
+    }
 }
 
 #[test]
