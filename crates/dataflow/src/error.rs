@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use canids_qnn::QnnError;
+
 /// Errors raised while compiling or simulating an accelerator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataflowError {
@@ -58,6 +60,10 @@ pub enum DataflowError {
         /// Device capacity.
         capacity: u64,
     },
+    /// The model does not compile into the packed serving kernel: its
+    /// inputs are not binary (the register map carries one bit per
+    /// feature) or a layer's range exceeds the kernel's `i32` lanes.
+    Kernel(QnnError),
 }
 
 impl fmt::Display for DataflowError {
@@ -93,11 +99,19 @@ impl fmt::Display for DataflowError {
                 required,
                 capacity,
             } => write!(f, "{resource} overflow: need {required}, device has {capacity}"),
+            DataflowError::Kernel(e) => write!(f, "serving kernel: {e}"),
         }
     }
 }
 
-impl Error for DataflowError {}
+impl Error for DataflowError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            DataflowError::Kernel(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,15 @@
 //! register map for the AXI-Lite control interface, folding, resource
 //! and power estimates, a cycle-accurate simulator, and a built-in
 //! bit-exactness verification step (FINN's cppsim/rtlsim gate).
+//!
+//! The IP serves frames through the compiled bit-word kernel
+//! ([`PackedMlp`]), the same arithmetic the software lane runs. The
+//! lowered [`DataflowGraph`] stays as the verification gate's reference
+//! ([`AcceleratorIp::infer`]) and as the simulator's timing model.
 
-use canids_qnn::export::IntegerMlp;
+use std::sync::Arc;
+
+use canids_qnn::export::{IntegerMlp, PackedMlp, PackedScratch};
 use serde::Serialize;
 
 use crate::error::DataflowError;
@@ -16,7 +23,10 @@ use crate::passes::{round_and_clip_thresholds, validate_thresholds_sorted};
 use crate::power::{estimate_power, PowerCoefficients, PowerEstimate};
 use crate::resources::{estimate_resources, Device, ResourceEstimate, Utilization};
 use crate::simulator::{AcceleratorSim, SimConfig};
-use crate::verify::verify_bit_exact;
+use crate::verify::{verify_bit_exact, verify_kernel_exact};
+
+/// Seed of the compile-time verification gate's inputs.
+const VERIFY_SEED: u64 = 0xC051;
 
 /// Compilation parameters.
 #[derive(Debug, Clone)]
@@ -120,39 +130,63 @@ impl RegisterMap {
 pub struct AcceleratorIp {
     name: String,
     graph: DataflowGraph,
+    /// The functional datapath, shared by every clone of the IP (board
+    /// summary, mapped peripheral, fleet copies).
+    kernel: Arc<PackedMlp>,
     folding: FoldingConfig,
     clock_hz: u64,
     sim_config: SimConfig,
+    /// Single-frame latency, fixed by the graph and folding.
+    latency_cycles: u64,
     resources: ResourceEstimate,
 }
 
 impl AcceleratorIp {
     /// Compiles a streamlined integer network into an IP core:
-    /// lowering → threshold passes → folding → resource estimation →
-    /// bit-exactness verification.
+    /// lowering → serving-kernel build → threshold passes → folding →
+    /// latency and resource estimation → bit-exactness verification of
+    /// both the graph and the kernel.
     ///
     /// # Errors
     ///
-    /// Any [`DataflowError`] from lowering, folding validation or the
-    /// verification gate.
+    /// [`DataflowError::Kernel`] when the model does not compile into
+    /// the packed kernel (non-binary inputs, or a range beyond `i32`);
+    /// any other [`DataflowError`] from lowering, folding validation or
+    /// the verification gate.
     pub fn compile(model: &IntegerMlp, config: CompileConfig) -> Result<Self, DataflowError> {
+        let goal = config.goal;
+        Self::compile_with(model, config, |graph| auto_fold(graph, goal))
+    }
+
+    /// [`AcceleratorIp::compile`] with the folding chosen by `fold`.
+    fn compile_with(
+        model: &IntegerMlp,
+        config: CompileConfig,
+        fold: impl FnOnce(&DataflowGraph) -> Result<FoldingConfig, DataflowError>,
+    ) -> Result<Self, DataflowError> {
         let mut graph = DataflowGraph::from_integer_mlp(model)?;
+        let kernel = PackedMlp::new(model).map_err(DataflowError::Kernel)?;
         round_and_clip_thresholds(&mut graph);
         validate_thresholds_sorted(&graph)?;
-        let folding = auto_fold(&graph, config.goal)?;
+        let folding = fold(&graph)?;
+        let sim_config = SimConfig {
+            fifo_depth: config.fifo_depth,
+        };
+        let latency_cycles =
+            AcceleratorSim::new(graph.clone(), &folding, sim_config)?.single_frame_latency_cycles();
         let resources = estimate_resources(&graph, &folding);
-        let ip = AcceleratorIp {
+        verify_bit_exact(&graph, model, config.verify_samples, VERIFY_SEED)?;
+        verify_kernel_exact(&kernel, model, config.verify_samples, VERIFY_SEED)?;
+        Ok(AcceleratorIp {
             name: config.name,
             graph,
+            kernel: Arc::new(kernel),
             folding,
             clock_hz: config.clock_hz,
-            sim_config: SimConfig {
-                fifo_depth: config.fifo_depth,
-            },
+            sim_config,
+            latency_cycles,
             resources,
-        };
-        verify_bit_exact(&ip.graph, model, config.verify_samples, 0xC051)?;
-        Ok(ip)
+        })
     }
 
     /// IP core name.
@@ -192,14 +226,30 @@ impl AcceleratorIp {
             .expect("folding validated at compile time")
     }
 
-    /// Functional (untimed) inference.
+    /// Functional (untimed) inference on the dataflow graph, one `u32`
+    /// level per feature: the verification reference. Frames are served
+    /// by [`AcceleratorIp::infer_words`].
     pub fn infer(&self, x: &[u32]) -> (usize, Vec<i64>) {
         self.graph.compute(x)
     }
 
-    /// Single-frame compute latency in cycles.
+    /// Classifies one frame packed as `u64` words (feature `i` is bit
+    /// `i % 64` of word `i / 64`) on the compiled kernel, the IP's
+    /// functional datapath. Raw scores stay readable via
+    /// [`PackedScratch::scores`] and equal [`AcceleratorIp::infer`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `words.len() != self.input_dim().div_ceil(64)`, and
+    /// may panic when a bit at or past `input_dim` is set.
+    pub fn infer_words(&self, words: &[u64], scratch: &mut PackedScratch) -> usize {
+        self.kernel.infer_class(words, scratch)
+    }
+
+    /// Single-frame compute latency in cycles (the simulator's
+    /// `single_frame_latency_cycles`, computed once at compile time).
     pub fn latency_cycles(&self) -> u64 {
-        self.simulator().single_frame_latency_cycles()
+        self.latency_cycles
     }
 
     /// Single-frame compute latency in seconds at the IP clock.
@@ -385,6 +435,88 @@ mod tests {
         // Compute-only energy is micro-joules; the paper's 0.25 mJ is the
         // whole-board figure over the full 0.12 ms software path.
         assert!(e < 1e-5, "energy {e}");
+    }
+
+    /// Every way to read the single-frame latency agrees with the value
+    /// cached at compile time.
+    fn assert_latency_cached(ip: &AcceleratorIp) {
+        let sim = ip.simulator();
+        assert_eq!(ip.latency_cycles(), sim.single_frame_latency_cycles());
+        let report = sim.run(&[vec![1; ip.input_dim()]]);
+        assert_eq!(ip.latency_cycles(), report.frame_latencies[0]);
+    }
+
+    #[test]
+    fn cached_latency_matches_the_simulator() {
+        let model = trained_model();
+        let default = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+        let min = CompileConfig {
+            goal: FoldingGoal::MinResource,
+            ..CompileConfig::default()
+        };
+        let min = AcceleratorIp::compile(&model, min).unwrap();
+        // Stage dims 75→64, 64→32, 32→2: one hand-picked divisor pair each.
+        let hand = FoldingConfig {
+            layers: [(4, 5), (8, 16), (2, 4)]
+                .map(|(pe, simd)| crate::folding::LayerFolding { pe, simd })
+                .to_vec(),
+        };
+        let hand =
+            AcceleratorIp::compile_with(&model, CompileConfig::default(), |_| Ok(hand.clone()))
+                .unwrap();
+        assert_eq!(hand.folding().layers[1].simd, 16);
+        for ip in [&default, &min, &hand] {
+            assert_latency_cached(ip);
+        }
+        assert_ne!(default.latency_cycles(), min.latency_cycles());
+        assert_ne!(hand.latency_cycles(), min.latency_cycles());
+    }
+
+    #[test]
+    fn non_binary_inputs_are_a_typed_compile_error() {
+        let mut model = trained_model();
+        model.input_levels = 3;
+        let err = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap_err();
+        assert_eq!(err, DataflowError::Kernel(QnnError::InputLevels(3)));
+        assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn accumulators_beyond_i32_are_a_typed_compile_error() {
+        let mut model = trained_model();
+        // 2^30 on each of 75 binary inputs: far beyond an i32 lane.
+        model.blocks[0].weights.fill(1 << 30);
+        let err = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DataflowError::Kernel(QnnError::AccumulatorOverflow { layer: 0, .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn served_words_equal_the_graph_reference() {
+        let model = trained_model();
+        let ip = AcceleratorIp::compile(&model, CompileConfig::default()).unwrap();
+        let clone = ip.clone();
+        assert!(
+            Arc::ptr_eq(&ip.kernel, &clone.kernel),
+            "clones share one kernel"
+        );
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut scratch = PackedScratch::new();
+        for _ in 0..200 {
+            let x: Vec<u32> = (0..75).map(|_| u32::from(rng.gen_bool(0.5))).collect();
+            let mut words = [0u64; 2];
+            for (i, &b) in x.iter().enumerate() {
+                words[i / 64] |= u64::from(b) << (i % 64);
+            }
+            let (class, scores) = ip.infer(&x);
+            assert_eq!(clone.infer_words(&words, &mut scratch), class);
+            assert_eq!(scratch.scores(), scores.as_slice());
+        }
     }
 
     #[test]

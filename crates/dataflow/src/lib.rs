@@ -14,8 +14,10 @@
 //! * [`resources`]/[`power`] — LUT/FF/BRAM/DSP cost model, device
 //!   database (ZCU104 et al.) and the PL power model,
 //! * [`ip`] — the stitched-IP artifact with its AXI-Lite register map,
+//!   serving frames through the compiled `PackedMlp` kernel,
 //! * [`codegen`] — SystemVerilog emission for inspection,
-//! * [`verify`] — the mandatory bit-exactness gate.
+//! * [`verify`] — the mandatory bit-exactness gate over the graph and
+//!   the kernel.
 //!
 //! # Example
 //!

@@ -3,11 +3,14 @@
 //! Wraps a compiled [`AcceleratorIp`] behind its AXI-Lite register map:
 //! the PS packs the 75 input bits into three 32-bit words, pulses
 //! `CTRL.start`, polls `STATUS.done` and reads the class register — the
-//! same handshake the FINN-generated stitched IP exposes. Completion
-//! timing comes from the IP's cycle-accurate latency at the PL clock.
+//! same handshake the FINN-generated stitched IP exposes. `CTRL.start`
+//! merges the input registers into `u64` words and runs the IP's
+//! compiled kernel ([`AcceleratorIp::infer_words`]). Completion timing
+//! comes from the IP's cycle-accurate latency at the PL clock.
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::{AcceleratorIp, RegisterMap};
+use canids_qnn::export::PackedScratch;
 
 use crate::axi::MmioDevice;
 use crate::error::SocError;
@@ -24,9 +27,12 @@ pub const CTRL_START: u32 = 1 << 0;
 pub struct AccelPeripheral {
     ip: AcceleratorIp,
     input_words: Vec<u32>,
+    /// The input registers merged into the kernel's `u64` words.
+    kernel_words: Vec<u64>,
+    /// Kernel buffers; its scores are the `OUT_SCORE*` registers.
+    scratch: PackedScratch,
     busy_until: Option<SimTime>,
     result_class: u32,
-    result_scores: Vec<i64>,
     done_sticky: bool,
     inferences: u64,
     busy_time: SimTime,
@@ -39,9 +45,10 @@ impl AccelPeripheral {
         AccelPeripheral {
             ip,
             input_words: vec![0; words],
+            kernel_words: vec![0; words.div_ceil(2)],
+            scratch: PackedScratch::new(),
             busy_until: None,
             result_class: 0,
-            result_scores: Vec::new(),
             done_sticky: false,
             inferences: 0,
             busy_time: SimTime::ZERO,
@@ -69,28 +76,28 @@ impl AccelPeripheral {
         matches!(self.busy_until, Some(t) if now < t)
     }
 
-    fn unpack_input(&self) -> Vec<u32> {
-        let dim = self.ip.input_dim();
-        let mut bits = Vec::with_capacity(dim);
-        for i in 0..dim {
-            let word = self.input_words[i / 32];
-            bits.push((word >> (i % 32)) & 1);
-        }
-        bits
-    }
-
     fn start(&mut self, now: SimTime) -> Result<(), SocError> {
         if self.is_busy(now) {
             return Err(SocError::DeviceBusy);
         }
-        let x = self.unpack_input();
-        let (class, scores) = self.ip.infer(&x);
+        // Register pairs merge low word first; register bits at or past
+        // the input width are not wired to the datapath.
+        for (word, regs) in self.kernel_words.iter_mut().zip(self.input_words.chunks(2)) {
+            let high = regs.get(1).map_or(0, |&r| u64::from(r));
+            *word = u64::from(regs[0]) | high << 32;
+        }
+        let tail = self.ip.input_dim() % 64;
+        if tail != 0 {
+            if let Some(last) = self.kernel_words.last_mut() {
+                *last &= (1 << tail) - 1;
+            }
+        }
+        let class = self.ip.infer_words(&self.kernel_words, &mut self.scratch);
         let latency =
             SimTime::from_nanos(self.ip.latency_cycles() * 1_000_000_000 / self.ip.clock_hz());
         self.busy_until = Some(now + latency);
         self.busy_time += latency;
         self.result_class = class as u32;
-        self.result_scores = scores;
         self.done_sticky = false;
         self.inferences += 1;
         Ok(())
@@ -126,12 +133,12 @@ impl MmioDevice for AccelPeripheral {
                 Ok(self.result_class)
             }
             o if o >= RegisterMap::OUT_SCORE_BASE
-                && o < RegisterMap::OUT_SCORE_BASE + 4 * self.result_scores.len() as u32 =>
+                && o < RegisterMap::OUT_SCORE_BASE + 4 * self.scratch.scores().len() as u32 =>
             {
                 let idx = ((o - RegisterMap::OUT_SCORE_BASE) / 4) as usize;
                 // Scores are i64; the register exposes the low 32 bits
                 // (sufficient for the 2-class IDS decision margins).
-                Ok(self.result_scores[idx] as u32)
+                Ok(self.scratch.scores()[idx] as u32)
             }
             o if o >= RegisterMap::INPUT_BASE
                 && o < RegisterMap::INPUT_BASE + 4 * self.input_words.len() as u32 =>
@@ -290,6 +297,35 @@ mod tests {
             now += SimTime::from_micros(50);
         }
         assert_eq!(p.inferences(), 32);
+    }
+
+    #[test]
+    fn score_registers_match_ip_and_unwired_bits_are_ignored() {
+        let mut p = peripheral();
+        let mut now = SimTime::ZERO;
+        for seed in 0u64..16 {
+            let bits: Vec<f32> = (0..75)
+                .map(|i| f32::from((seed.wrapping_mul(i as u64 + 3) >> 2) & 1 == 1))
+                .collect();
+            let mut words = pack_features(&bits);
+            // Register bits 75..96 lie past the input width.
+            words[2] |= !0 << 11;
+            for (i, &w) in words.iter().enumerate() {
+                p.write(RegisterMap::INPUT_BASE + 4 * i as u32, w, now)
+                    .unwrap();
+            }
+            p.write(RegisterMap::CTRL, CTRL_START, now).unwrap();
+            now += SimTime::from_micros(50);
+            let x: Vec<u32> = bits.iter().map(|&b| u32::from(b >= 0.5)).collect();
+            let (class, scores) = p.ip().infer(&x);
+            assert_eq!(p.read(RegisterMap::OUT_CLASS, now).unwrap(), class as u32);
+            for (c, &score) in scores.iter().enumerate() {
+                let reg = p
+                    .read(RegisterMap::OUT_SCORE_BASE + 4 * c as u32, now)
+                    .unwrap();
+                assert_eq!(reg, score as u32, "seed {seed} class {c}");
+            }
+        }
     }
 
     #[test]

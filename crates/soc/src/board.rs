@@ -40,10 +40,8 @@ pub struct BoardConfig {
 
 /// Summary of an attached IP, kept board-side for power/resource
 /// aggregation and DMA-batch scheduling without reaching through the
-/// bus. The `ip` field is a full clone of the compiled artifact (a few
-/// KB of weights for the paper topology) alongside the mapped
-/// peripheral's copy — acceptable at simulation scale; switch to a
-/// shared handle if models grow large.
+/// bus. The `ip` field is a clone of the compiled artifact alongside
+/// the mapped peripheral's copy; the two share one serving kernel.
 #[derive(Debug, Clone)]
 struct IpSummary {
     ip: AcceleratorIp,
@@ -210,6 +208,21 @@ impl Zcu104Board {
         run_inference(&mut self.bus, &self.config.cpu, &mut self.now, base, words)
     }
 
+    /// Reads register `offset` of accelerator `idx` over the bus at the
+    /// current board time, booking no CPU cost: e.g. the `OUT_SCORE*`
+    /// registers the driver leaves unread after an inference.
+    ///
+    /// # Errors
+    ///
+    /// [`SocError::NoSuchAccelerator`] or the peripheral's access error.
+    pub fn read_accel_register(&mut self, idx: usize, offset: u32) -> Result<u32, SocError> {
+        if idx >= self.ips.len() {
+            return Err(SocError::NoSuchAccelerator(idx));
+        }
+        let base = ACCEL_BASE + ACCEL_STRIDE * idx as u64;
+        self.bus.read(base + u64::from(offset), self.now)
+    }
+
     /// Like [`Zcu104Board::infer_packed`], but with interrupt-driven
     /// completion: the driver blocks on the accelerator's done line
     /// through the GIC instead of spinning on the status register.
@@ -262,7 +275,7 @@ impl Zcu104Board {
 mod tests {
     use super::*;
     use canids_can::frame::{CanFrame, CanId};
-    use canids_dataflow::ip::CompileConfig;
+    use canids_dataflow::ip::{CompileConfig, RegisterMap};
     use canids_qnn::prelude::*;
 
     fn ip(name: &str) -> AcceleratorIp {
@@ -348,6 +361,23 @@ mod tests {
         ));
         assert!(board.accelerator(a).is_some());
         assert!(board.accelerator(7).is_none());
+    }
+
+    #[test]
+    fn result_registers_readable_after_inference() {
+        let mut board = Zcu104Board::new(BoardConfig::default());
+        let a = board.attach_accelerator(ip("dos")).unwrap();
+        let rec = board.infer(a, &[1.0; 75]).unwrap();
+        let (class, scores) = board.accelerator(a).unwrap().infer(&[1; 75]);
+        let out_class = board.read_accel_register(a, RegisterMap::OUT_CLASS);
+        assert_eq!(out_class.unwrap() as usize, rec.class);
+        assert_eq!(rec.class, class);
+        let score1 = board.read_accel_register(a, RegisterMap::OUT_SCORE_BASE + 4);
+        assert_eq!(score1.unwrap(), scores[1] as u32);
+        assert_eq!(
+            board.read_accel_register(3, RegisterMap::OUT_CLASS),
+            Err(SocError::NoSuchAccelerator(3))
+        );
     }
 
     #[test]

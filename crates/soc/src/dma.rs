@@ -10,6 +10,7 @@
 
 use canids_can::time::SimTime;
 use canids_dataflow::ip::AcceleratorIp;
+use canids_qnn::export::PackedScratch;
 
 use crate::cpu::CpuModel;
 use crate::error::SocError;
@@ -51,9 +52,14 @@ pub struct BatchReport {
 /// then consumable by any number of accelerator IPs — the shared
 /// feature-packing substrate of the multi-detector deployment (N models
 /// read one packed buffer instead of re-packing per model).
+///
+/// Each frame is `dim.div_ceil(64)` `u64` words in one flat buffer,
+/// feature `i` at bit `i % 64` of word `i / 64`: the layout
+/// [`AcceleratorIp::infer_words`] reads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FeatureBatch {
-    xs: Vec<Vec<u32>>,
+    words: Vec<u64>,
+    frames: usize,
     dim: usize,
 }
 
@@ -61,12 +67,19 @@ impl FeatureBatch {
     /// An empty batch of `dim`-wide frames.
     pub fn new(dim: usize) -> Self {
         FeatureBatch {
-            xs: Vec::new(),
+            words: Vec::new(),
+            frames: 0,
             dim,
         }
     }
 
-    /// Quantises and appends one frame's binary features.
+    /// `u64` words per frame.
+    fn stride(&self) -> usize {
+        self.dim.div_ceil(64)
+    }
+
+    /// Quantises (`v >= 0.5` is a `1` bit) and appends one frame's
+    /// binary features.
     ///
     /// # Errors
     ///
@@ -78,8 +91,13 @@ impl FeatureBatch {
                 actual: bits.len(),
             });
         }
-        self.xs
-            .push(bits.iter().map(|&v| u32::from(v >= 0.5)).collect());
+        let start = self.words.len();
+        self.words.resize(start + self.stride(), 0);
+        let frame = &mut self.words[start..];
+        for (i, &v) in bits.iter().enumerate() {
+            frame[i / 64] |= u64::from(v >= 0.5) << (i % 64);
+        }
+        self.frames += 1;
         Ok(())
     }
 
@@ -98,12 +116,12 @@ impl FeatureBatch {
 
     /// Frames in the batch.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.frames
     }
 
     /// `true` when no frame has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.frames == 0
     }
 
     /// Feature width per frame.
@@ -111,15 +129,17 @@ impl FeatureBatch {
         self.dim
     }
 
-    /// The quantised frames.
-    pub fn frames(&self) -> &[Vec<u32>] {
-        &self.xs
+    /// The packed frames, in push order.
+    pub fn frames(&self) -> impl Iterator<Item = &[u64]> {
+        let stride = self.stride();
+        (0..self.frames).map(move |f| &self.words[f * stride..(f + 1) * stride])
     }
 
     /// Empties the batch, keeping its capacity (hot-path reuse between
     /// DMA windows).
     pub fn clear(&mut self) {
-        self.xs.clear();
+        self.words.clear();
+        self.frames = 0;
     }
 }
 
@@ -153,8 +173,11 @@ pub fn run_batch_shared(
             actual: batch.dim(),
         });
     }
-    // Functional results from the (bit-exact) IP model.
-    let classes: Vec<usize> = batch.frames().iter().map(|x| ip.infer(x).0).collect();
+    let mut scratch = PackedScratch::new();
+    let classes: Vec<usize> = batch
+        .frames()
+        .map(|x| ip.infer_words(x, &mut scratch))
+        .collect();
     let n = batch.len() as u64;
     let total = transfer_time(ip, cpu, dma, n);
     let per_frame = SimTime::from_nanos(total.as_nanos() / n.max(1));
@@ -226,9 +249,15 @@ pub fn run_batch_multi(
             });
         }
     }
+    let mut scratch = PackedScratch::new();
     let classes: Vec<Vec<usize>> = ips
         .iter()
-        .map(|ip| batch.frames().iter().map(|x| ip.infer(x).0).collect())
+        .map(|ip| {
+            batch
+                .frames()
+                .map(|x| ip.infer_words(x, &mut scratch))
+                .collect()
+        })
         .collect();
     let flagged: Vec<bool> = (0..batch.len())
         .map(|f| classes.iter().any(|per_model| per_model[f] != 0))
@@ -375,10 +404,22 @@ mod tests {
     }
 
     #[test]
+    fn feature_batch_packs_lsb_first_u64_words() {
+        let mut bits = vec![0.0f32; 75];
+        for i in [0, 31, 32, 63, 64, 74] {
+            bits[i] = 1.0;
+        }
+        let fb = FeatureBatch::from_features(75, &[bits, vec![0.0; 75]]).unwrap();
+        let frames: Vec<&[u64]> = fb.frames().collect();
+        let first = 1 | 1 << 31 | 1 << 32 | 1 << 63;
+        assert_eq!(frames, [&[first, 1 | 1 << 10][..], &[0, 0][..]]);
+    }
+
+    #[test]
     fn feature_batch_clear_reuses_buffer() {
         let mut fb = FeatureBatch::new(3);
         fb.push(&[1.0, 0.0, 1.0]).unwrap();
-        assert_eq!(fb.frames(), &[vec![1, 0, 1]]);
+        assert!(fb.frames().eq([&[0b101u64][..]]));
         fb.clear();
         assert!(fb.is_empty());
         assert_eq!(fb.dim(), 3);

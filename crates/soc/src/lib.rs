@@ -8,7 +8,8 @@
 //!   peripheral trait,
 //! * [`cpu`] — the Cortex-A53 + Linux (PYNQ) software cost model that
 //!   dominates the end-to-end 0.12 ms per-message latency,
-//! * [`accel`] — the FINN-style IP as an MMIO peripheral,
+//! * [`accel`] — the FINN-style IP as an MMIO peripheral, computing
+//!   with the IP's compiled `PackedMlp` kernel,
 //! * [`cancontroller`] — a CANPS-style CAN controller peripheral,
 //! * [`interrupt`] — a GIC-lite interrupt controller,
 //! * [`driver`] — the PYNQ-like userspace inference driver,

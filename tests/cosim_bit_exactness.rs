@@ -4,7 +4,11 @@
 //! cycle-accurate simulator → memory-mapped peripheral
 //!
 //! must all produce identical classes (and scores where exposed) for
-//! every input.
+//! every input. The peripheral serves through the IP's packed kernel, so
+//! its result registers also pin the merge of 32-bit input registers
+//! into the kernel's `u64` words.
+
+use std::sync::OnceLock;
 
 use canids_can::time::SimTime;
 use canids_dataflow::folding::{auto_fold, FoldingGoal};
@@ -94,28 +98,71 @@ proptest! {
     }
 }
 
+/// The exact deployment topology (75-64-32-2 at 4 bits), trained once.
+fn paper_model() -> &'static IntegerMlp {
+    static MODEL: OnceLock<IntegerMlp> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let mut mlp = QuantMlp::new(MlpConfig::paper_4bit()).unwrap();
+        let mut state = 0xBEEFu64;
+        let mut bit = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63) & 1 == 1
+        };
+        let xs: Vec<Vec<f32>> = (0..400)
+            .map(|_| (0..75).map(|_| f32::from(bit() as u8)).collect())
+            .collect();
+        let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.5)).collect();
+        Trainer::new(TrainConfig {
+            epochs: 2,
+            ..TrainConfig::default()
+        })
+        .fit(&mut mlp, &xs, &ys)
+        .unwrap();
+        mlp.export().unwrap()
+    })
+}
+
 #[test]
 fn paper_topology_cosim_holds() {
-    // The exact deployment topology (75-64-32-2 at 4 bits).
-    let mut mlp = QuantMlp::new(MlpConfig::paper_4bit()).unwrap();
-    let mut state = 0xBEEFu64;
-    let mut bit = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63) & 1 == 1
-    };
-    let xs: Vec<Vec<f32>> = (0..400)
-        .map(|_| (0..75).map(|_| f32::from(bit() as u8)).collect())
-        .collect();
-    let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.5)).collect();
-    Trainer::new(TrainConfig {
-        epochs: 2,
-        ..TrainConfig::default()
-    })
-    .fit(&mut mlp, &xs, &ys)
-    .unwrap();
-    let model = mlp.export().unwrap();
-    let graph = DataflowGraph::from_integer_mlp(&model).unwrap();
-    verify_bit_exact(&graph, &model, 512, 0xC0).unwrap();
+    let model = paper_model();
+    let graph = DataflowGraph::from_integer_mlp(model).unwrap();
+    verify_bit_exact(&graph, model, 512, 0xC0).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn register_words_merge_into_kernel_words(
+        bits in proptest::collection::vec(0u32..=1, 75),
+        unwired in any::<u32>(),
+    ) {
+        static IP: OnceLock<AcceleratorIp> = OnceLock::new();
+        let model = paper_model();
+        let ip = IP.get_or_init(|| AcceleratorIp::compile(model, CompileConfig::default()).unwrap());
+        // Both edges of every 32-bit register and of the first u64 word,
+        // and the last input bit.
+        let mut x = bits;
+        for i in [0, 31, 32, 63, 64, 74] {
+            x[i] = 1;
+        }
+        let bits_f: Vec<f32> = x.iter().map(|&b| b as f32).collect();
+        let mut regs = pack_features(&bits_f);
+        // Register bits past input 74 reach no datapath input.
+        regs[2] |= unwired << 11;
+        let mut dev = AccelPeripheral::new(ip.clone());
+        for (w, &word) in regs.iter().enumerate() {
+            dev.write(RegisterMap::INPUT_BASE + 4 * w as u32, word, SimTime::ZERO).unwrap();
+        }
+        dev.write(RegisterMap::CTRL, CTRL_START, SimTime::ZERO).unwrap();
+        let done = SimTime::from_micros(100);
+        let want = model.infer(&x);
+        prop_assert_eq!(dev.read(RegisterMap::OUT_CLASS, done).unwrap() as usize, want.class);
+        for (c, &score) in want.scores.iter().enumerate() {
+            let reg = dev.read(RegisterMap::OUT_SCORE_BASE + 4 * c as u32, done).unwrap();
+            prop_assert_eq!(i64::from(reg as i32), score);
+        }
+    }
 }

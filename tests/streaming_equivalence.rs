@@ -2,8 +2,10 @@
 //! streaming serving mode — plus line-rate harness accounting.
 
 use canids_core::prelude::*;
+use canids_dataflow::ip::RegisterMap;
 use canids_dataset::generator::TrafficConfig;
 use canids_qnn::export::{PackedMlp, PackedScratch};
+use canids_soc::run_batch_multi;
 
 fn trained() -> TrainedDetector {
     let pipeline = IdsPipeline::new(PipelineConfig::dos().quick());
@@ -44,38 +46,80 @@ fn streaming_and_batch_agree_on_every_frame() {
 
 #[test]
 fn packed_kernel_scores_equal_reference_and_accelerator_on_every_capture_frame() {
-    // Score-level, not argmax: the serving kernel, the row-major
-    // reference and the accelerator IP's integer graph agree value for
-    // value on every frame of the trained paper-shape W4A4 detectors'
-    // own captures.
-    for config in [
-        PipelineConfig::dos().quick(),
-        PipelineConfig::fuzzy().quick(),
-    ] {
-        let pipeline = IdsPipeline::new(config);
-        let capture = pipeline.generate_capture();
-        let model = pipeline.train(&capture).unwrap().int_mlp;
-        let kernel = PackedMlp::new(&model).unwrap();
-        let ip = pipeline.compile(&model).unwrap();
-        let enc = IdBitsPayloadBits;
-        let mut words = [0u64; 2];
-        let mut scratch = PackedScratch::new();
-        let mut flagged = 0usize;
+    // Score-level, not argmax: on every frame of the trained paper-shape
+    // W4A4 DoS and fuzzy detectors' captures, the row-major reference
+    // agrees value for value with the serving kernel, the IP's integer
+    // graph, the mapped peripheral's result registers after a driver
+    // call, and the classes of one DMA broadcast to both IPs.
+    let pipelines = [
+        IdsPipeline::new(PipelineConfig::dos().quick()),
+        IdsPipeline::new(PipelineConfig::fuzzy().quick()),
+    ];
+    let captures: Vec<_> = pipelines.iter().map(|p| p.generate_capture()).collect();
+    let models: Vec<_> = pipelines
+        .iter()
+        .zip(&captures)
+        .map(|(p, c)| p.train(c).unwrap().int_mlp)
+        .collect();
+    let kernels: Vec<_> = models.iter().map(|m| PackedMlp::new(m).unwrap()).collect();
+    let ips: Vec<_> = pipelines
+        .iter()
+        .zip(&models)
+        .map(|(p, m)| p.compile(m).unwrap())
+        .collect();
+    let mut board = Zcu104Board::new(BoardConfig::default());
+    let slots: Vec<usize> = ips
+        .iter()
+        .map(|ip| board.attach_accelerator(ip.clone()).unwrap())
+        .collect();
+    let enc = IdBitsPayloadBits;
+    let mut words = [0u64; 2];
+    let mut scratch = PackedScratch::new();
+    for (own, capture) in captures.iter().enumerate() {
+        let mut batch = FeatureBatch::new(75);
+        let mut want_classes = vec![Vec::new(); models.len()];
+        let mut flagged = vec![0usize; models.len()];
         for rec in capture.iter() {
             let features = enc.encode(&rec.frame);
-            let reference = model.infer_bits(&features);
+            batch.push(&features).unwrap();
             let levels: Vec<u32> = features.iter().map(|&f| u32::from(f >= 0.5)).collect();
-            let (ip_class, ip_scores) = ip.infer(&levels);
+            let registers = pack_features(&features);
             enc.encode_bits_into(&rec.frame, &mut words);
-            let class = kernel.infer_class(&words, &mut scratch);
-            assert_eq!(scratch.scores(), reference.scores.as_slice());
-            assert_eq!(scratch.scores(), ip_scores.as_slice());
-            assert_eq!((class, class), (reference.class, ip_class));
-            flagged += usize::from(class != 0);
+            for (m, model) in models.iter().enumerate() {
+                let reference = model.infer_bits(&features);
+                let class = kernels[m].infer_class(&words, &mut scratch);
+                assert_eq!(scratch.scores(), reference.scores.as_slice());
+                let (ip_class, ip_scores) = ips[m].infer(&levels);
+                assert_eq!(ip_scores, reference.scores);
+                let rec = board.infer_packed(slots[m], &registers).unwrap();
+                let out_class = board.read_accel_register(slots[m], RegisterMap::OUT_CLASS);
+                assert_eq!(
+                    (class, ip_class, rec.class, out_class.unwrap() as usize),
+                    (
+                        reference.class,
+                        reference.class,
+                        reference.class,
+                        reference.class
+                    )
+                );
+                for (c, &score) in reference.scores.iter().enumerate() {
+                    let offset = RegisterMap::OUT_SCORE_BASE + 4 * c as u32;
+                    let reg = board.read_accel_register(slots[m], offset).unwrap();
+                    // The 32-bit register holds the whole score.
+                    assert_eq!(i64::from(reg as i32), score);
+                }
+                want_classes[m].push(reference.class);
+                flagged[m] += usize::from(reference.class != 0);
+            }
         }
+        let ip_refs: Vec<_> = ips.iter().collect();
+        let cpu = *board.cpu();
+        let dma = run_batch_multi(&ip_refs, &cpu, DmaConfig::default(), &batch).unwrap();
+        assert_eq!(dma.classes, want_classes);
         assert!(
-            flagged > 0 && flagged < capture.len(),
-            "{flagged} of {} frames flagged",
+            flagged[own] > 0 && flagged[own] < capture.len(),
+            "{} of {} frames flagged",
+            flagged[own],
             capture.len()
         );
     }
