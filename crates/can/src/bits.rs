@@ -1,16 +1,24 @@
 //! Exact frame bit encoding: field layout, CRC insertion and bit stuffing.
 //!
-//! The encoder produces the on-wire bit sequence of a frame (dominant =
-//! `false`, recessive = `true`), applying the 5-bit stuffing rule to the
-//! region from start-of-frame through the CRC sequence. The decoder is its
-//! exact inverse and validates stuffing, CRC and the fixed-form fields, so
-//! `decode(encode(f)) == f` for every valid frame — a property exercised by
-//! the test-suite.
+//! The field layout has one definition, `PackedRegion::of`: it packs
+//! the unstuffed region from start-of-frame through the CRC sequence
+//! (at most 118 bits) MSB-first into a `u128`, with the CRC-15 computed
+//! a byte at a time on the packed word.
 //!
-//! Bit durations derived from these sequences drive all throughput and
-//! latency numbers reported by the benchmark harness.
+//! Two readers consume that word:
+//!
+//! * [`encode_frame`] expands it to the on-wire `bool` sequence (dominant
+//!   = `false`, recessive = `true`) and applies the 5-bit stuffing rule
+//!   with [`stuff`]. The decoder is its exact inverse and validates
+//!   stuffing, CRC (bit-serially) and the fixed-form fields, so
+//!   `decode(encode(f)) == f` for every valid frame. This pair is the
+//!   bit-level codec and the reference the wire count is tested against.
+//! * `PackedRegion::stuff_bits` counts stuff bits without expanding
+//!   anything, from a byte-wise table over the run state, so
+//!   [`crate::timing::frame_bit_count`] — which every frame duration in
+//!   the bus, gateway and pacing models comes from — allocates nothing.
 
-use crate::crc::{crc15, Crc15};
+use crate::crc::{crc15_packed, Crc15};
 use crate::error::CanError;
 use crate::frame::{CanFrame, CanId, Dlc};
 
@@ -53,12 +61,6 @@ impl FrameBits {
     /// Length of the stuffed region (SOF..CRC, after stuffing).
     pub fn stuffed_region_len(&self) -> usize {
         self.stuffed_region_len
-    }
-}
-
-fn push_bits_msb(dst: &mut Vec<bool>, value: u32, width: usize) {
-    for i in (0..width).rev() {
-        dst.push((value >> i) & 1 == 1);
     }
 }
 
@@ -149,36 +151,150 @@ pub fn destuff(stuffed: &[bool]) -> Result<Vec<bool>, CanError> {
     Ok(out)
 }
 
-/// Builds the unstuffed field sequence from SOF through the CRC sequence.
-fn stuffable_region(frame: &CanFrame) -> Vec<bool> {
-    let mut raw = Vec::with_capacity(120);
-    raw.push(false); // SOF (dominant)
-    match frame.id() {
-        CanId::Standard(id) => {
-            push_bits_msb(&mut raw, u32::from(id), 11);
-            raw.push(frame.is_remote()); // RTR
-            raw.push(false); // IDE = 0 (standard)
-            raw.push(false); // r0
-        }
-        CanId::Extended(id) => {
-            push_bits_msb(&mut raw, (id >> 18) & 0x7FF, 11); // base ID
-            raw.push(true); // SRR (recessive)
-            raw.push(true); // IDE = 1 (extended)
-            push_bits_msb(&mut raw, id & 0x3_FFFF, 18); // extension
-            raw.push(frame.is_remote()); // RTR
-            raw.push(false); // r1
-            raw.push(false); // r0
-        }
+/// Bits after the stuffed region: CRC delimiter, ACK slot, ACK delimiter
+/// and the 7-bit end-of-frame, none of them stuffed.
+pub(crate) const TRAILER_BITS: usize = 10;
+
+/// The unstuffed region of a frame, SOF through the CRC sequence, packed
+/// MSB-first into the low [`PackedRegion::len`] bits of a word.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedRegion {
+    word: u128,
+    len: usize,
+}
+
+impl PackedRegion {
+    /// Appends the low `width` bits of `value`, most significant first.
+    fn push(&mut self, value: u32, width: usize) {
+        let mask = (1u32 << width) - 1;
+        self.word = (self.word << width) | u128::from(value & mask);
+        self.len += width;
     }
-    push_bits_msb(&mut raw, u32::from(frame.dlc().value()), 4);
-    if !frame.is_remote() {
-        for &byte in frame.data() {
-            push_bits_msb(&mut raw, u32::from(byte), 8);
+
+    /// Lays out `frame`'s fields from SOF through the CRC sequence.
+    pub(crate) fn of(frame: &CanFrame) -> Self {
+        let mut region = PackedRegion { word: 0, len: 0 };
+        let remote = u32::from(frame.is_remote());
+        region.push(0, 1); // SOF (dominant)
+        match frame.id() {
+            CanId::Standard(id) => {
+                region.push(u32::from(id), 11);
+                region.push(remote, 1); // RTR
+                region.push(0, 2); // IDE = 0 (standard), r0
+            }
+            CanId::Extended(id) => {
+                region.push(id >> 18, 11); // base ID
+                region.push(0b11, 2); // SRR, IDE = 1 (both recessive)
+                region.push(id, 18); // extension
+                region.push(remote, 1); // RTR
+                region.push(0, 2); // r1, r0
+            }
         }
+        region.push(u32::from(frame.dlc().value()), 4);
+        if !frame.is_remote() {
+            for &byte in frame.data() {
+                region.push(u32::from(byte), 8);
+            }
+        }
+        let fcs = crc15_packed(region.word, region.len);
+        region.push(u32::from(fcs), 15);
+        region
     }
-    let fcs = crc15(&raw);
-    push_bits_msb(&mut raw, u32::from(fcs), 15);
-    raw
+
+    /// Number of unstuffed bits, SOF through CRC.
+    pub(crate) fn len(self) -> usize {
+        self.len
+    }
+
+    /// The region as `bool`s, SOF first.
+    fn bits(self) -> impl Iterator<Item = bool> {
+        (0..self.len).rev().map(move |i| (self.word >> i) & 1 == 1)
+    }
+
+    /// Number of stuff bits [`stuff`] inserts into this region.
+    pub(crate) fn stuff_bits(self) -> usize {
+        count_stuff_bits(self.word, self.len)
+    }
+}
+
+/// Run state of the stuffing rule: 0 before the first bit, otherwise
+/// `1 + 4 * value + (length - 1)` for a run of `length` (1..=4) bits of
+/// `value`. A run never rests at length 5: the stuff bit restarts it.
+const STUFF_STATES: usize = 9;
+
+const fn run_state(value: bool, len: u8) -> u8 {
+    1 + if value { 4 } else { 0 } + (len - 1)
+}
+
+/// One input bit through the stuffing rule: the next run state and
+/// whether a stuff bit follows. A stuff bit never changes which input
+/// bits come next; it only restarts the run at length 1 with the
+/// complement value, so counting needs no output stream.
+const fn stuff_step(state: u8, bit: bool) -> (u8, bool) {
+    let len = if state == 0 {
+        1
+    } else if bit == (state > 4) {
+        (state - 1) % 4 + 2
+    } else {
+        1
+    };
+    if len as usize == STUFF_RUN {
+        (run_state(!bit, 1), true)
+    } else {
+        (run_state(bit, len), false)
+    }
+}
+
+/// `STUFF_TABLE[state][byte]` holds, for the byte's 8 bits taken MSB
+/// first from run state `state`, the next state in the low nibble and
+/// the number of stuff bits inserted in the high nibble.
+static STUFF_TABLE: [[u8; 256]; STUFF_STATES] = stuff_table();
+
+const fn stuff_table() -> [[u8; 256]; STUFF_STATES] {
+    let mut table = [[0u8; 256]; STUFF_STATES];
+    let mut state = 0;
+    while state < STUFF_STATES {
+        let mut byte = 0;
+        while byte < 256 {
+            let mut run = state as u8;
+            let mut stuffed = 0u8;
+            let mut bit = 8;
+            while bit > 0 {
+                bit -= 1;
+                let (next, stuff) = stuff_step(run, (byte >> bit) & 1 == 1);
+                run = next;
+                if stuff {
+                    stuffed += 1;
+                }
+            }
+            table[state][byte] = (stuffed << 4) | run;
+            byte += 1;
+        }
+        state += 1;
+    }
+    table
+}
+
+/// Stuff bits [`stuff`] would insert into the low `len` bits of `word`
+/// (most significant first): whole bytes through [`STUFF_TABLE`], the
+/// `len % 8` trailing bits one at a time.
+fn count_stuff_bits(word: u128, len: usize) -> usize {
+    let mut state = 0u8;
+    let mut stuffed = 0usize;
+    let mut left = len;
+    while left >= 8 {
+        left -= 8;
+        let entry = STUFF_TABLE[usize::from(state)][usize::from((word >> left) as u8)];
+        state = entry & 0x0F;
+        stuffed += usize::from(entry >> 4);
+    }
+    while left > 0 {
+        left -= 1;
+        let (next, stuff) = stuff_step(state, (word >> left) & 1 == 1);
+        state = next;
+        stuffed += usize::from(stuff);
+    }
+    stuffed
 }
 
 /// Encodes a frame to its complete on-wire bit sequence.
@@ -199,7 +315,7 @@ fn stuffable_region(frame: &CanFrame) -> Vec<bool> {
 /// # Ok::<(), canids_can::FrameError>(())
 /// ```
 pub fn encode_frame(frame: &CanFrame) -> FrameBits {
-    let raw = stuffable_region(frame);
+    let raw: Vec<bool> = PackedRegion::of(frame).bits().collect();
     let mut bits = stuff(&raw);
     let stuffed_region_len = bits.len();
     let stuff_bits = stuffed_region_len - raw.len();
@@ -386,6 +502,48 @@ pub fn decode_frame(bits: &[bool]) -> Result<CanFrame, CanError> {
 mod tests {
     use super::*;
     use crate::frame::{CanFrame, CanId, Dlc};
+    use proptest::prelude::*;
+
+    fn unpack(word: u128, len: usize) -> Vec<bool> {
+        (0..len).rev().map(|i| (word >> i) & 1 == 1).collect()
+    }
+
+    #[test]
+    fn stuff_count_matches_stuff_on_dense_words() {
+        // Long runs of either level, nibble-aligned runs of four and
+        // alternation: every run state and every stuffing position.
+        let words = [
+            0u128,
+            u128::MAX,
+            0x0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F,
+            0xF0F0_F0F0_F0F0_F0F0_F0F0_F0F0_F0F0_F0F0,
+            0x5555_5555_5555_5555_5555_5555_5555_5555,
+            0x8000_0000_0000_FFFF_FFFF_0000_0000_07C1,
+            0x07E0_F83E_0F83_E0F8_3E0F_83E0_F83E_0F83,
+        ];
+        for word in words {
+            for len in 0..=128 {
+                let stuffed = stuff(&unpack(word, len)).len() - len;
+                assert_eq!(count_stuff_bits(word, len), stuffed, "{word:#x} len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn stuff_count_matches_stuff_at_every_length(
+            bits in proptest::collection::vec(any::<bool>(), 128)
+        ) {
+            let mut word = 0u128;
+            for len in 0..=128 {
+                let expected = stuff(&bits[..len]).len() - len;
+                prop_assert_eq!(count_stuff_bits(word, len), expected, "len {}", len);
+                if let Some(&bit) = bits.get(len) {
+                    word = (word << 1) | u128::from(bit);
+                }
+            }
+        }
+    }
 
     fn std_frame(id: u16, payload: &[u8]) -> CanFrame {
         CanFrame::new(CanId::standard(id).unwrap(), payload).unwrap()

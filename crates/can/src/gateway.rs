@@ -11,7 +11,7 @@ use crate::filter::FilterBank;
 use crate::frame::CanFrame;
 use crate::node::CanController;
 use crate::time::SimTime;
-use crate::timing::{frame_duration, frame_slot_duration, Bitrate};
+use crate::timing::{frame_wire, Bitrate};
 
 /// Forwarding rule set between two segments.
 #[derive(Debug, Clone, Default)]
@@ -212,8 +212,9 @@ impl SegmentForwarder {
     pub fn forward(&mut self, arrival: SimTime, frame: &CanFrame) -> SimTime {
         let release = arrival + self.delay;
         let start = release.max(self.busy_until);
-        let delivered = start + frame_duration(frame, self.bitrate);
-        self.busy_until = start + frame_slot_duration(frame, self.bitrate);
+        let (duration, slot) = frame_wire(frame, self.bitrate);
+        self.busy_until = start + slot;
+        let delivered = start + duration;
         self.forwarded += 1;
         delivered
     }
@@ -347,6 +348,37 @@ mod tests {
         // Strictly increasing delivery order.
         let third = fwd.forward(t0, &f);
         assert!(third > second);
+    }
+
+    #[test]
+    fn segment_forwarder_equals_the_codec_recurrence() {
+        use crate::bits::encode_frame;
+        use crate::timing::INTERFRAME_BITS;
+        let frames = [
+            CanFrame::new(CanId::standard(0x000).unwrap(), &[0; 8]).unwrap(),
+            CanFrame::new(CanId::extended(0x1FFF_FFFF).unwrap(), &[0xFF; 8]).unwrap(),
+            CanFrame::remote(
+                CanId::standard(0x7FF).unwrap(),
+                crate::frame::Dlc::new(8).unwrap(),
+            ),
+            frame(0x316),
+        ];
+        let rate = Bitrate::HIGH_SPEED_500K;
+        let delay = SimTime::from_micros(7);
+        let mut fwd = SegmentForwarder::new(rate, delay);
+        let bit = rate.bit_time();
+        let mut busy_until = SimTime::ZERO;
+        // Groups of four simultaneous arrivals queue behind each other;
+        // the wire idles between groups.
+        for (i, f) in frames.iter().cycle().take(64).enumerate() {
+            let arrival = SimTime::from_micros(1_500 * (i as u64 / 4));
+            let bits = encode_frame(f).len();
+            let start = (arrival + delay).max(busy_until);
+            busy_until = start + bit.mul_u64((bits + INTERFRAME_BITS) as u64);
+            assert_eq!(fwd.forward(arrival, f), start + bit.mul_u64(bits as u64));
+            assert_eq!(fwd.busy_until, busy_until);
+        }
+        assert_eq!(fwd.forwarded(), 64);
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! Frame durations are computed from the *actual encoded bit count*
 //! (including stuff bits), so every throughput/latency figure that the
-//! benchmark harness reports is grounded in the wire format. The paper's
+//! benchmark harness reports is grounded in the wire format. The count,
+//! [`frame_bit_count`], reads the frame's packed SOF..CRC word and a
+//! byte-wise stuffing table, with no allocation; the bit-level codec
+//! [`crate::bits::encode_frame`] is the reference it is tested against.
+//! Callers that need both the end-of-frame time and the wire's next idle
+//! time take them from one count with [`frame_wire`]. The paper's
 //! headline "over 8 300 messages per second at highest payload capacity"
 //! corresponds to 8-byte frames on a 1 Mb/s high-speed CAN segment; see
 //! [`max_frame_rate`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::bits::encode_frame;
+use crate::bits::{PackedRegion, TRAILER_BITS};
 use crate::error::FrameError;
 use crate::frame::{CanFrame, CanId};
 use crate::time::SimTime;
@@ -167,19 +172,58 @@ impl Default for BitTiming {
 }
 
 /// Number of on-wire bits for a frame (SOF..EOF, including stuff bits).
+///
+/// Equal to `encode_frame(frame).len()`, counted on the packed frame
+/// without building the bit sequence.
+///
+/// # Example
+///
+/// ```
+/// use canids_can::bits::encode_frame;
+/// use canids_can::frame::{CanFrame, CanId};
+/// use canids_can::timing::frame_bit_count;
+///
+/// let f = CanFrame::new(CanId::standard(0x000)?, &[0; 8])?;
+/// assert_eq!(frame_bit_count(&f), encode_frame(&f).len());
+/// # Ok::<(), canids_can::FrameError>(())
+/// ```
 pub fn frame_bit_count(frame: &CanFrame) -> usize {
-    encode_frame(frame).len()
+    let region = PackedRegion::of(frame);
+    region.len() + region.stuff_bits() + TRAILER_BITS
+}
+
+/// Wire duration of a frame (SOF..EOF) and of its slot (plus the 3-bit
+/// interframe space) at `rate`, from one bit count: a frame starting at
+/// `t` ends at `t + duration` and frees the wire at `t + slot`.
+///
+/// # Example
+///
+/// ```
+/// use canids_can::frame::{CanFrame, CanId};
+/// use canids_can::timing::{frame_wire, Bitrate};
+///
+/// let f = CanFrame::new(CanId::standard(0x100)?, &[0xA5; 8])?;
+/// let (duration, slot) = frame_wire(&f, Bitrate::HIGH_SPEED_1M);
+/// assert_eq!(slot.as_nanos() - duration.as_nanos(), 3_000);
+/// # Ok::<(), canids_can::FrameError>(())
+/// ```
+pub fn frame_wire(frame: &CanFrame, rate: Bitrate) -> (SimTime, SimTime) {
+    let bits = frame_bit_count(frame) as u64;
+    let bit_time = rate.bit_time();
+    (
+        bit_time.mul_u64(bits),
+        bit_time.mul_u64(bits + INTERFRAME_BITS as u64),
+    )
 }
 
 /// Wire duration of a frame (SOF..EOF) at `rate`, excluding interframe space.
 pub fn frame_duration(frame: &CanFrame, rate: Bitrate) -> SimTime {
-    rate.bit_time().mul_u64(frame_bit_count(frame) as u64)
+    frame_wire(frame, rate).0
 }
 
 /// Wire duration of a frame plus the mandatory 3-bit interframe space.
 pub fn frame_slot_duration(frame: &CanFrame, rate: Bitrate) -> SimTime {
-    rate.bit_time()
-        .mul_u64((frame_bit_count(frame) + INTERFRAME_BITS) as u64)
+    frame_wire(frame, rate).1
 }
 
 /// Maximum sustainable frames/second for back-to-back standard data frames
@@ -229,6 +273,7 @@ pub fn worst_case_stuff_bits(stuffable_bits: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::encode_frame;
     use crate::frame::{CanFrame, CanId};
 
     fn frame8(id: u16) -> CanFrame {
@@ -303,6 +348,29 @@ mod tests {
         assert_eq!(worst_case_stuff_bits(0), 0);
         assert_eq!(worst_case_stuff_bits(98), 24);
         assert_eq!(worst_case_stuff_bits(5), 1);
+    }
+
+    #[test]
+    fn bit_count_equals_the_codec_on_edge_frames() {
+        let std_id = |id| CanId::standard(id).unwrap();
+        let ext_id = |id| CanId::extended(id).unwrap();
+        let mut frames = Vec::new();
+        for id in [std_id(0x000), std_id(0x7FF), ext_id(0), ext_id(0x1FFF_FFFF)] {
+            for payload in [&[][..], &[0x00; 8], &[0xFF; 8], &[0x0F, 0xF0, 0x0F, 0xF0]] {
+                frames.push(CanFrame::new(id, payload).unwrap());
+            }
+            for dlc in [0, 8] {
+                frames.push(CanFrame::remote(id, crate::frame::Dlc::new(dlc).unwrap()));
+            }
+        }
+        for f in &frames {
+            let enc = encode_frame(f);
+            assert_eq!(frame_bit_count(f), enc.len(), "{f:?}");
+            let (duration, slot) = frame_wire(f, Bitrate::HIGH_SPEED_500K);
+            let bit = Bitrate::HIGH_SPEED_500K.bit_time();
+            assert_eq!(duration, bit.mul_u64(enc.len() as u64));
+            assert_eq!(slot, bit.mul_u64((enc.len() + INTERFRAME_BITS) as u64));
+        }
     }
 
     #[test]

@@ -32,6 +32,42 @@ fn arb_remote_frame() -> impl Strategy<Value = CanFrame> {
     })
 }
 
+fn arb_extended_remote_frame() -> impl Strategy<Value = CanFrame> {
+    (0u32..=0x1FFF_FFFF, 0u8..=8).prop_map(|(id, dlc)| {
+        CanFrame::remote(
+            CanId::extended(id).expect("masked"),
+            Dlc::new(dlc).expect("<= 8"),
+        )
+    })
+}
+
+/// Frames built from 0x00, 0xFF, 0x0F and 0xF0 bytes, with all-dominant,
+/// all-recessive or random identifiers of either width: long same-level
+/// runs and runs of exactly four bits, the stuffing count's hard cases.
+fn arb_stuff_dense_frame() -> impl Strategy<Value = CanFrame> {
+    (
+        any::<bool>(),
+        0u8..4,
+        0u32..=0x1FFF_FFFF,
+        proptest::collection::vec(0usize..4, 0..=8),
+    )
+        .prop_map(|(extended, id_kind, random_id, picks)| {
+            let raw = match id_kind {
+                0 => 0,
+                1 => u32::MAX,
+                _ => random_id,
+            };
+            let id = if extended {
+                CanId::extended(raw & 0x1FFF_FFFF)
+            } else {
+                CanId::standard_from_raw(raw & 0x7FF)
+            }
+            .expect("masked");
+            let payload: Vec<u8> = picks.iter().map(|&i| [0x00, 0xFF, 0x0F, 0xF0][i]).collect();
+            CanFrame::new(id, &payload).expect("len <= 8")
+        })
+}
+
 proptest! {
     #[test]
     fn encode_decode_identity_standard(frame in arb_standard_frame()) {
@@ -107,5 +143,22 @@ proptest! {
             Ok(decoded) => prop_assert_eq!(decoded, frame,
                 "single-bit flip silently changed the frame"),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn frame_bit_count_equals_the_codec_on_every_format(
+        frame in prop_oneof![
+            arb_standard_frame(),
+            arb_extended_frame(),
+            arb_remote_frame(),
+            arb_extended_remote_frame(),
+            arb_stuff_dense_frame(),
+        ]
+    ) {
+        prop_assert_eq!(frame_bit_count(&frame), encode_frame(&frame).len(), "{:?}", frame);
     }
 }

@@ -49,7 +49,7 @@ use std::collections::BinaryHeap;
 
 use canids_can::frame::{CanFrame, CanId};
 use canids_can::time::SimTime;
-use canids_can::timing::{frame_duration, frame_slot_duration, Bitrate};
+use canids_can::timing::{frame_wire, Bitrate};
 
 // ---------------------------------------------------------------------
 // Node and frame identifiers
@@ -971,7 +971,8 @@ impl Event<Topology> for FrameArrival {
 /// egress segment. This is the analytic `SegmentForwarder` recurrence,
 /// verbatim: `start = max(release, busy_until)`,
 /// `delivered = start + frame_duration`,
-/// `busy_until = start + frame_slot_duration`.
+/// `busy_until = start + frame_slot_duration`, both from one
+/// `frame_wire` count.
 struct PortService {
     gw: usize,
     port: usize,
@@ -1002,8 +1003,9 @@ impl Event<Topology> for PortService {
         }
         let seg = &mut net.segments[egress];
         let start = self.release.max(seg.busy_until);
-        let delivered = start + frame_duration(&self.frame, seg.bitrate);
-        seg.busy_until = start + frame_slot_duration(&self.frame, seg.bitrate);
+        let (duration, slot) = frame_wire(&self.frame, seg.bitrate);
+        seg.busy_until = start + slot;
+        let delivered = start + duration;
         vec![Box::new(DeliverFrame {
             delivered,
             gw: self.gw,

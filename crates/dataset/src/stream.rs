@@ -17,7 +17,7 @@
 //! consumer never needs the whole capture resident to evaluate it.
 
 use canids_can::time::SimTime;
-use canids_can::timing::{frame_duration, frame_slot_duration, Bitrate};
+use canids_can::timing::{frame_wire, Bitrate};
 
 use crate::generator::Dataset;
 use crate::record::LabeledFrame;
@@ -71,8 +71,9 @@ impl Iterator for PacedRecords<'_> {
         let rec = self.records.next()?;
         // Arrival = end of frame on the wire, matching the capture
         // convention; the next frame starts after the interframe space.
-        let end = self.clock + frame_duration(&rec.frame, self.bitrate);
-        self.clock += frame_slot_duration(&rec.frame, self.bitrate);
+        let (duration, slot) = frame_wire(&rec.frame, self.bitrate);
+        let end = self.clock + duration;
+        self.clock += slot;
         Some(LabeledFrame {
             timestamp: end,
             ..*rec
@@ -159,6 +160,42 @@ mod tests {
         // Identical payloads; only stuff-bit variation and the trailing
         // intermission separate the two figures.
         assert!((0.95..=1.1).contains(&ratio), "fps {fps} vs {analytic}");
+    }
+
+    #[test]
+    fn pacing_equals_the_codec_recurrence_at_every_bitrate() {
+        use crate::attacks::{AttackProfile, BurstSchedule};
+        use crate::generator::{DatasetBuilder, TrafficConfig};
+        use crate::record::Label;
+        use canids_can::bits::encode_frame;
+        use canids_can::timing::INTERFRAME_BITS;
+        let bursts = BurstSchedule::Periodic {
+            initial_delay: SimTime::from_millis(20),
+            on: SimTime::from_millis(30),
+            off: SimTime::from_millis(30),
+        };
+        let ds = DatasetBuilder::new(TrafficConfig {
+            duration: SimTime::from_millis(200),
+            attack: Some(AttackProfile::dos().with_schedule(bursts)),
+            extra_attacks: vec![AttackProfile::fuzzy().with_schedule(bursts)],
+            seed: 23,
+            ..TrafficConfig::default()
+        })
+        .build();
+        assert!(ds.class_count(Label::Dos) > 0 && ds.class_count(Label::Fuzzy) > 0);
+        for rate in [125_000, 500_000, 1_000_000, 5_000_000].map(Bitrate::new) {
+            let bit = rate.bit_time();
+            let mut clock = SimTime::ZERO;
+            let mut paced = ds.stream_paced(rate);
+            for rec in ds.iter() {
+                let bits = encode_frame(&rec.frame).len();
+                let p = paced.next().expect("one paced record per capture record");
+                assert_eq!(p.timestamp, clock + bit.mul_u64(bits as u64));
+                clock += bit.mul_u64((bits + INTERFRAME_BITS) as u64);
+            }
+            assert!(paced.next().is_none());
+            assert_eq!(paced.clock(), clock, "{rate:?}");
+        }
     }
 
     #[test]
